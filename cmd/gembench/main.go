@@ -270,6 +270,9 @@ func run(w io.Writer, exp string, opts experiments.Options, reps int, precisions
 			return nil, err
 		}
 		fmt.Fprintln(w, res)
+		if msg := res.FitStats.Warning(); msg != "" {
+			fmt.Fprintln(os.Stderr, msg)
+		}
 		report.Search = experiments.NewSearchReport(res)
 		ran = true
 	}

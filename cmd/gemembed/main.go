@@ -85,6 +85,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("embedding: %v", err)
 	}
+	if msg := embedder.FitStats().Warning(); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+	}
 
 	var w io.Writer = os.Stdout
 	if *outPath != "" {

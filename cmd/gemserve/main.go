@@ -519,6 +519,9 @@ func buildEmbedder(cfg cliConfig, w io.Writer) (*core.Embedder, error) {
 		fmt.Fprintf(w, "fit telemetry: restart %d/%d won with logL %.4f after %d iterations (converged=%v); %d EM iterations total, E-step %.2fs, M-step %.2fs\n",
 			st.Winner+1, len(st.Restarts), win.LogLikelihood, win.Iterations, win.Converged,
 			st.Iterations(), st.EStepSeconds, st.MStepSeconds)
+		if msg := st.Warning(); msg != "" {
+			fmt.Fprintln(os.Stderr, msg)
+		}
 	}
 	if cfg.saveModel != "" {
 		f, err := os.Create(cfg.saveModel)

@@ -126,8 +126,12 @@ type Config struct {
 	// Components is the number of GMM components m. Default 50 (the paper's
 	// setting; Figure 4 shows 5–100 behave similarly).
 	Components int
-	// Tol is the EM convergence threshold on the log-likelihood change.
-	// Default 1e-3 (paper §3.1).
+	// Tol is the EM convergence threshold on the change in mean per-value
+	// log-likelihood: a restart stops once |ΔlogL| < Tol·n over the n
+	// fitted values (see gmm.Config.Tol for the rule and the measurement
+	// behind the default). Default 1e-4 — not scikit-learn's 1e-3, which
+	// costs 2.9 % type precision on the benchmark corpus, and not the
+	// former absolute 1e-3 on the total, which never fired.
 	Tol float64
 	// MaxIter caps EM iterations per restart. Default 200.
 	MaxIter int
@@ -184,7 +188,7 @@ func (c *Config) fillDefaults() {
 		c.Components = 50
 	}
 	if c.Tol <= 0 {
-		c.Tol = 1e-3
+		c.Tol = 1e-4
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 200

@@ -37,8 +37,8 @@ func TestNewEmbedderDefaults(t *testing.T) {
 	if cfg.Components != 50 {
 		t.Errorf("default Components = %d, want 50", cfg.Components)
 	}
-	if cfg.Tol != 1e-3 {
-		t.Errorf("default Tol = %v, want 1e-3", cfg.Tol)
+	if cfg.Tol != 1e-4 {
+		t.Errorf("default Tol = %v, want 1e-4", cfg.Tol)
 	}
 	if cfg.Restarts != 10 {
 		t.Errorf("default Restarts = %d, want 10", cfg.Restarts)
@@ -460,5 +460,36 @@ func TestHeaderEmbedderExposed(t *testing.T) {
 	v := e.HeaderEmbedder().Embed("price")
 	if len(v) != e.Config().HeaderDim {
 		t.Errorf("header dim = %d, want %d", len(v), e.Config().HeaderDim)
+	}
+}
+
+// TestFitConvergesUnderDefaultTol pins ROADMAP item 3's stopping-rule
+// half: under the default Tol and MaxIter every EM restart meets the
+// per-value tolerance before the iteration cap, on the golden catalog and
+// on the paper-shaped GDS stack at the benchmark's model size.
+func TestFitConvergesUnderDefaultTol(t *testing.T) {
+	for name, tc := range map[string]struct {
+		cfg Config
+		ds  *table.Dataset
+	}{
+		"golden": {goldenConfig(), goldenCatalog()},
+		"gds": {
+			Config{Components: 50, Restarts: 3, Seed: 12, SubsampleStack: 8000},
+			data.GDS(data.Config{Seed: 12, Scale: 1, Grain: data.Coarse}),
+		},
+	} {
+		e, err := NewEmbedder(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Fit(tc.ds); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for r, rs := range e.FitStats().Restarts {
+			if !rs.Converged || rs.Iterations >= e.Config().MaxIter {
+				t.Errorf("%s restart %d: converged=%v after %d iterations (MaxIter %d)",
+					name, r, rs.Converged, rs.Iterations, e.Config().MaxIter)
+			}
+		}
 	}
 }

@@ -20,10 +20,13 @@ import (
 // pass. If a change is SUPPOSED to alter numerics, update this constant
 // in the same commit and say so in the commit message.
 //
-// Last intentional change: the E-step density was regrouped into the
-// folded c1 + d²·c2 form (weightedLogPDFs) — same math, different float
-// association.
-const goldenFingerprint = "5dfbe790cfcbf218bd9f83c727b0931f80224a42029ce163db10021c7a78dd90"
+// Last intentional change (ISSUE 13, regenerated once for all three): EM
+// now stops on the per-value rule |ΔlogL| < Tol·n with Tol = 1e-4, so the
+// restarts converge (fewer iterations, different parameters) instead of
+// running to MaxIter; responsibilities come from the one-exp softmax
+// (exp(l_j − max)/Σ instead of exp(l_j − logsumexp), a last-ulp change);
+// and the M-step sums per-chunk partials in chunk order.
+const goldenFingerprint = "6e0c0d92e57c85f669af78e357abc4252778c7103fe9e4102f3f8b531d6c567b"
 
 // goldenCatalog builds a fixed-seed synthetic catalog with distinct
 // column shapes (gaussians, mixtures, uniform, lognormal, constant-ish),

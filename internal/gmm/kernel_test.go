@@ -1,0 +1,174 @@
+package gmm
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/gem-embeddings/gem/internal/mathx"
+)
+
+// twoExpSoftmax is the form softmax replaced — log-sum-exp, then a second
+// exponential per entry — kept as the reference the kernel is checked
+// against.
+func twoExpSoftmax(row []float64) ([]float64, float64) {
+	lse := mathx.LogSumExp(row)
+	out := make([]float64, len(row))
+	for j, v := range row {
+		out[j] = math.Exp(v - lse)
+	}
+	return out, lse
+}
+
+// softmaxRows are log-term rows at the extremes of what an E-step sees,
+// followed by random ones.
+func softmaxRows() map[string][]float64 {
+	rows := map[string][]float64{
+		"k=1":            {-3.25},
+		"all-equal":      {-7, -7, -7, -7, -7},
+		"one-dominant":   {-900, -2, -1200, -1e6, -850},
+		"700-nats-apart": {-1, -701, -1401, -2101},
+		"denormal-tail":  {0, -720, -744, -745.5, -800},
+		"with--Inf":      {math.Inf(-1), -4, math.Inf(-1), -5},
+		"large-positive": {800, 799, 100},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for t := 0; t < 50; t++ {
+		row := make([]float64, 1+rng.Intn(60))
+		scale := math.Pow(10, 3*rng.Float64())
+		for j := range row {
+			row[j] = -scale * rng.ExpFloat64()
+		}
+		rows[fmt.Sprintf("random-%d", t)] = row
+	}
+	return rows
+}
+
+// TestSoftmaxMatchesTwoExpForm pins the kernel against the form it
+// replaced: the same responsibilities within 1e-15 plus the rounding the
+// two-exp form itself carries (exp(v − lse) inherits the ulp of lse as a
+// relative error; dividing by the sum does not), rows that sum to 1 within
+// a few ulp per entry, and the log-likelihood term bit for bit (LogPDF and
+// ScoreSamples still go through mathx.LogSumExp).
+func TestSoftmaxMatchesTwoExpForm(t *testing.T) {
+	for name, row := range softmaxRows() {
+		want, wantLSE := twoExpSoftmax(row)
+		got := append([]float64(nil), row...)
+		lse := softmax(got)
+		if math.Float64bits(lse) != math.Float64bits(wantLSE) {
+			t.Errorf("%s: log-sum-exp %v, want %v bit for bit", name, lse, wantLSE)
+		}
+		var sum float64
+		tol := 1e-15 + math.Abs(lse)*0x1p-52
+		for j := range got {
+			if math.Abs(got[j]-want[j]) > tol {
+				t.Errorf("%s: entry %d = %v, two-exp form %v", name, j, got[j], want[j])
+			}
+			sum += got[j]
+		}
+		if tol := 4 * float64(len(row)) * 0x1p-53; math.Abs(sum-1) > tol {
+			t.Errorf("%s: row sums to %v, want 1 within %g", name, sum, tol)
+		}
+	}
+}
+
+// TestExpUnderflowCutoff pins the fact the skipped math.Exp call rests on.
+func TestExpUnderflowCutoff(t *testing.T) {
+	if got := math.Exp(expUnderflow); got != 0 {
+		t.Fatalf("math.Exp(%v) = %v, want exactly 0", float64(expUnderflow), got)
+	}
+}
+
+// TestSoftmaxNonFiniteRows pins the two degenerate rows: a NaN entry
+// poisons the returned log-likelihood (the restart-abandon signal), and a
+// row without a finite entry returns −Inf with NaN responsibilities, as
+// the two-exp form did.
+func TestSoftmaxNonFiniteRows(t *testing.T) {
+	nan, ninf := math.NaN(), math.Inf(-1)
+	for name, row := range map[string][]float64{
+		"one-NaN":   {-1, nan, -3},
+		"first-NaN": {nan, -2},
+		"all-NaN":   {nan, nan},
+		"NaN+-Inf":  {ninf, nan},
+	} {
+		if lse := softmax(row); !math.IsNaN(lse) {
+			t.Errorf("%s: returned %v, want NaN", name, lse)
+		}
+	}
+	row := []float64{ninf, ninf, ninf}
+	want, wantLSE := twoExpSoftmax(row)
+	if lse := softmax(row); lse != wantLSE || !math.IsInf(lse, -1) {
+		t.Errorf("all -Inf: returned %v, want -Inf", lse)
+	}
+	for j := range row {
+		if !math.IsNaN(row[j]) || !math.IsNaN(want[j]) {
+			t.Errorf("all -Inf: entry %d = %v (two-exp form %v), want NaN", j, row[j], want[j])
+		}
+	}
+}
+
+// TestTrainingAndInferenceResponsibilitiesIdentical walks a column through
+// the E-step's arithmetic — folded constants, weightedLogPDFs into the
+// row, softmax in place — and requires each row to equal
+// Responsibilities(x) bit for bit, its log-likelihood term to equal
+// LogPDF(x), and MeanResponsibilities to equal the in-order mean of the
+// rows.
+func TestTrainingAndInferenceResponsibilitiesIdentical(t *testing.T) {
+	m, err := Fit(mixtureSample(3000, 71), Config{K: 7, Restarts: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := append(mixtureSample(400, 72), -1e4, 1e4, 0) // far-flung values too
+	k := m.K()
+	c1, c2 := make([]float64, k), make([]float64, k)
+	m.foldedConstants(c1, c2)
+	mean := make([]float64, k)
+	row := make([]float64, k)
+	for _, x := range col {
+		weightedLogPDFs(x, m.Means, c1, c2, row)
+		ll := softmax(row)
+		if want := m.LogPDF(x); math.Float64bits(ll) != math.Float64bits(want) {
+			t.Fatalf("x=%v: E-step log-likelihood %v, LogPDF %v", x, ll, want)
+		}
+		for j, r := range m.Responsibilities(x) {
+			if math.Float64bits(r) != math.Float64bits(row[j]) {
+				t.Fatalf("x=%v component %d: E-step %v, Responsibilities %v", x, j, row[j], r)
+			}
+			mean[j] += row[j]
+		}
+	}
+	got, err := m.MeanResponsibilities(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range mean {
+		if want := mean[j] * (1 / float64(len(col))); math.Float64bits(got[j]) != math.Float64bits(want) {
+			t.Fatalf("component %d: MeanResponsibilities %v, mean of rows %v", j, got[j], want)
+		}
+	}
+}
+
+// TestNaNAbandonsRestart drives emLoop directly (FitWithStats rejects
+// non-finite samples up front): a NaN reaching the E-step, from the data or
+// from a parameter, must surface as a NaN log-likelihood and abandon the
+// restart rather than iterate on a poisoned model.
+func TestNaNAbandonsRestart(t *testing.T) {
+	start := func() *Model {
+		return &Model{Weights: []float64{0.5, 0.5}, Means: []float64{-5, 5}, Variances: []float64{1, 1}}
+	}
+	cfg := Config{K: 2}
+	cfg.fillDefaults()
+
+	xs := mixtureSample(300, 73)
+	xs[150] = math.NaN()
+	if m, tel := emLoop(xs, start(), cfg, 1e-8); m != nil || tel.iterations != 1 {
+		t.Errorf("NaN value: model %v after %d iterations, want abandoned after 1", m, tel.iterations)
+	}
+
+	init := start()
+	init.Means[1] = math.NaN()
+	if m, tel := emLoop(mixtureSample(300, 73), init, cfg, 1e-8); m != nil || tel.iterations != 1 {
+		t.Errorf("NaN mean: model %v after %d iterations, want abandoned after 1", m, tel.iterations)
+	}
+}

@@ -100,3 +100,48 @@ func TestFitWithStatsNeutral(t *testing.T) {
 		}
 	}
 }
+
+// TestStoppingRuleIsPerValue pins the rule itself: EM stops at the first
+// iteration whose log-likelihood gain is below Tol·n, so every restart of
+// a default-config fit converges short of MaxIter and carries no warning —
+// and the same fit cut off by a too-small MaxIter still reports
+// Converged == false and warns.
+func TestStoppingRuleIsPerValue(t *testing.T) {
+	xs := telemetrySample()
+	cfg := Config{K: 4, Seed: 3, Restarts: 3}
+	m, st, err := FitWithStats(xs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.fillDefaults()
+	for r, rs := range st.Restarts {
+		if !rs.Converged || rs.Iterations >= cfg.MaxIter {
+			t.Errorf("restart %d: converged=%v after %d iterations, want converged before MaxIter=%d",
+				r, rs.Converged, rs.Iterations, cfg.MaxIter)
+		}
+	}
+	if msg := st.Warning(); msg != "" {
+		t.Errorf("converged fit warns: %q", msg)
+	}
+	tr, bound := st.Trajectory, cfg.Tol*float64(len(xs))
+	if len(tr) != m.Iterations+1 {
+		t.Fatalf("trajectory has %d entries for %d iterations", len(tr), m.Iterations)
+	}
+	for i := 1; i < len(tr); i++ {
+		if last := i == len(tr)-1; (math.Abs(tr[i]-tr[i-1]) < bound) != last {
+			t.Errorf("iteration %d of %d: |ΔlogL| = %g against Tol·n = %g", i, len(tr)-1, math.Abs(tr[i]-tr[i-1]), bound)
+		}
+	}
+
+	cfg.MaxIter = 3
+	m, st, err = FitWithStats(xs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Converged || m.Iterations != 3 {
+		t.Errorf("MaxIter=3: converged=%v after %d iterations, want unconverged after 3", m.Converged, m.Iterations)
+	}
+	if st.Warning() == "" {
+		t.Error("unconverged fit carries no warning")
+	}
+}

@@ -333,6 +333,53 @@ func TestCatalogAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestSearchDuringAutoCompaction is a -race regression test: /search runs
+// beside RemoveColumns calls that cross CompactEvery on an HNSW-backed
+// catalog. Auto-compaction replaces the index in place (ann.(*HNSW).Rebuild
+// assigns the whole struct), so nothing on the search path may read the
+// index outside idxMu — SearchBatch once read its metric there.
+func TestSearchDuringAutoCompaction(t *testing.T) {
+	ds := testCatalog()
+	s := newCatalogServer(t, t.TempDir(), 2, Config{CompactEvery: 2})
+	if _, err := s.AddColumns(context.Background(), ds.Columns[:24]); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	body := `{"column":` + colJSON(ds.Columns[25]) + `,"k":3}`
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if code, b := doReq(t, h, "POST", "/search", body); code != http.StatusOK {
+					t.Errorf("/search during compaction: status %d: %s", code, b)
+					return
+				}
+			}
+		}()
+	}
+	// Every call crosses CompactEvery, and compaction renumbers the
+	// survivors from 0, so "@0" and "@1" are live again on the next call.
+	for i := 0; i < 6; i++ {
+		if _, err := s.RemoveColumns("@0", "@1"); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := s.Stats(); st.Compactions != 6 {
+		t.Errorf("compactions = %d, want 6", st.Compactions)
+	}
+}
+
 // TestCatalogConfigValidation: the startup error paths of the store
 // wiring.
 func TestCatalogConfigValidation(t *testing.T) {

@@ -185,6 +185,10 @@ type Server struct {
 	// shard routing.
 	idxMu sync.RWMutex
 	cat   *shard.Catalog
+	// metric is cat's distance metric, captured in New: it never changes
+	// over a server's life, and reading it off the catalog would race with
+	// a compaction replacing an index in place (ann.(*HNSW).Rebuild).
+	metric ann.Metric
 	// storeMode records that the catalog is durable: the /embed auto-feed
 	// is disabled (membership must be deterministic in the stores alone)
 	// and mutations journal before they touch an index.
@@ -281,6 +285,7 @@ func New(e *core.Embedder, cfg Config) (*Server, error) {
 				ErrInput, d, s.dim)
 		}
 		s.cat = cat
+		s.metric = cat.Metric()
 		s.store = cfg.Store
 		if cat.Store(0) != nil {
 			s.storeMode = true
@@ -836,7 +841,7 @@ func (s *Server) SearchBatch(ctx context.Context, cols []table.Column, k int) ([
 	qKeys := make([]catalog.Key, len(cols))
 	for i, row := range rows {
 		q := row
-		if s.cat.Metric() == ann.Cosine {
+		if s.metric == ann.Cosine {
 			q = stats.L2Normalize(q)
 		}
 		qs[i] = q
