@@ -124,3 +124,64 @@ func setBenchPool(b *testing.B, idx Index, p *pool.Pool) {
 		b.Fatalf("unknown index type %T", idx)
 	}
 }
+
+// BenchmarkHNSWBuild measures graph construction — what every restart,
+// compaction and POST /columns pays — on tightly clustered unit vectors at
+// the served embedding width: one batched Add, single-vector Adds onto the
+// built graph, and Rebuild with every 8th id tombstoned. allocs/op divided
+// by the vectors per op is the build path's allocation cost per vector.
+func BenchmarkHNSWBuild(b *testing.B) {
+	const n, single, dim = 2048, 256, 57
+	vecs := goldenVectors(n+single, dim, 41)
+	build := func(b *testing.B) *HNSW {
+		h, err := NewHNSW(HNSWConfig{Metric: Cosine, Seed: 17}, pool.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := h.Add(vecs[:n]...); err != nil {
+			b.Fatal(err)
+		}
+		return h
+	}
+	perVec := func(b *testing.B, vectors int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vectors), "ns/vec")
+	}
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			build(b)
+		}
+		perVec(b, n)
+	})
+	b.Run("single", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h := build(b)
+			b.StartTimer()
+			for _, v := range vecs[n:] {
+				if err := h.Add(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		perVec(b, single)
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h := build(b)
+			for id := 0; id < n; id += 8 {
+				if err := h.Remove(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			if _, err := h.Rebuild(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perVec(b, n-n/8)
+	})
+}

@@ -93,6 +93,56 @@ func (f *Flat) Rebuild() ([]int, error) {
 	return mapping, nil
 }
 
+// candHeap is a binary heap of candidates with the farthest (last under
+// candBefore) at the root: pushing onto a full heap after popping the root
+// keeps the m nearest candidates seen so far, which is Flat's bounded top-k.
+type candHeap struct {
+	items []cand
+}
+
+func (ch *candHeap) len() int   { return len(ch.items) }
+func (ch *candHeap) peek() cand { return ch.items[0] }
+
+// reset empties the heap without freeing its backing array.
+func (ch *candHeap) reset() { ch.items = ch.items[:0] }
+
+func (ch *candHeap) push(c cand) {
+	ch.items = append(ch.items, c)
+	i := len(ch.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !candBefore(ch.items[p], ch.items[i]) {
+			break
+		}
+		ch.items[i], ch.items[p] = ch.items[p], ch.items[i]
+		i = p
+	}
+}
+
+func (ch *candHeap) pop() cand {
+	top := ch.items[0]
+	last := len(ch.items) - 1
+	ch.items[0] = ch.items[last]
+	ch.items = ch.items[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		far := i
+		if l < last && candBefore(ch.items[far], ch.items[l]) {
+			far = l
+		}
+		if r < last && candBefore(ch.items[far], ch.items[r]) {
+			far = r
+		}
+		if far == i {
+			break
+		}
+		ch.items[i], ch.items[far] = ch.items[far], ch.items[i]
+		i = far
+	}
+	return top
+}
+
 // selectNearest scans the live vectors under the scan kernel and fills
 // sc.sel with the m nearest candidates under the (distance, id) total
 // order — a farthest-first heap of size m, O(n log m) and no O(n) result
@@ -101,7 +151,7 @@ func (f *Flat) Rebuild() ([]int, error) {
 // full-materialize-and-sort produced.
 func (f *Flat) selectNearest(sc *scratch, sq *scanQuery, m int) {
 	sel := &sc.sel
-	sel.reset(false)
+	sel.reset()
 	for i := range f.st.vecs {
 		if f.deleted[i] {
 			continue

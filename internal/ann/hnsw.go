@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/gem-embeddings/gem/internal/pool"
 )
@@ -64,6 +64,8 @@ const maxLevelCap = 30
 // from hashing (seed, id), insertions are committed sequentially in id
 // order, and only the read-only candidate searches of each insertion batch
 // run on the worker pool, against the graph frozen before the batch.
+// Insertion and Search share one layer search (searchLayer), and everything
+// an insertion needs beyond the links it creates lives in reused scratch.
 type HNSW struct {
 	cfg  HNSWConfig
 	pool *pool.Pool
@@ -85,6 +87,20 @@ type HNSW struct {
 	// results, and Rebuild compacts them away deterministically.
 	deleted  []bool
 	nDeleted int
+
+	build buildScratch
+}
+
+// buildScratch is the insertion path's reusable memory. Nothing in it
+// outlives an Add: every buffer is length-reset before use.
+type buildScratch struct {
+	// beams[i][l] is batch member i's layer-l beam, filled by phase 1 of
+	// insertBatch (each worker writes only its members' slots) and read by
+	// that member's commit.
+	beams [][][]cand
+	// Sequential commit buffers: distances to committed batch siblings, the
+	// per-layer merged candidate list, and selectNeighbors' output.
+	sibs, merged, kept []cand
 }
 
 // NewHNSW returns an empty HNSW index. The pool bounds the parallelism of
@@ -200,8 +216,13 @@ func (h *HNSW) maxM(lvl int) int {
 // with, so the graph is a pure function of (vectors, config, seed) per
 // precision tier.
 func (h *HNSW) distIDs(a, b int32) float64 {
-	sq := h.st.queryOf(int(a))
-	return h.st.scanDist(&sq, int(b))
+	st := &h.st
+	if st.prec == Float64 {
+		// scanDist's float64 arm, without a scanQuery built per pair.
+		return st.metric.distNormed(st.vecs[a], st.norms[a], st.vecs[b], st.norms[b])
+	}
+	sq := st.queryOf(int(a))
+	return st.scanDist(&sq, int(b))
 }
 
 // distQ returns the scan-precision distance from a prepared query to a
@@ -210,15 +231,20 @@ func (h *HNSW) distQ(q *scanQuery, id int32) float64 {
 	return h.st.scanDist(q, int(id))
 }
 
-// cand is a candidate neighbour during construction and search.
+// cand is a candidate neighbour during construction and search: a stored
+// id and its distance to the query (or to the node being linked). expanded
+// is searchLayer's own bookkeeping — it occupies padding between id and
+// dist, so a cand is 16 bytes — and is false on every cand outside a
+// running searchLayer.
 type cand struct {
-	id   int32
-	dist float64
+	id       int32
+	expanded bool
+	dist     float64
 }
 
 // candBefore is the total order on candidates: nearer first, ties broken
-// by lower id. Every heap, sort and greedy step uses it, which is what
-// makes search deterministic on corpora with duplicate columns
+// by lower id. Every beam, heap, sort and greedy step uses it, which is
+// what makes search deterministic on corpora with duplicate columns
 // (distance-0 ties are common there).
 func candBefore(a, b cand) bool {
 	if a.dist != b.dist {
@@ -227,58 +253,15 @@ func candBefore(a, b cand) bool {
 	return a.id < b.id
 }
 
-// candHeap is a binary heap of candidates. min selects nearest-first
-// (candidate frontier) or farthest-first (bounded result set) order.
-type candHeap struct {
-	items []cand
-	min   bool
-}
-
-func (ch *candHeap) before(a, b cand) bool {
-	if ch.min {
-		return candBefore(a, b)
+// candCompare is candBefore as a three-way comparison for slices.SortFunc.
+func candCompare(a, b cand) int {
+	switch {
+	case candBefore(a, b):
+		return -1
+	case candBefore(b, a):
+		return 1
 	}
-	return candBefore(b, a)
-}
-
-func (ch *candHeap) len() int   { return len(ch.items) }
-func (ch *candHeap) peek() cand { return ch.items[0] }
-
-func (ch *candHeap) push(c cand) {
-	ch.items = append(ch.items, c)
-	i := len(ch.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ch.before(ch.items[i], ch.items[p]) {
-			break
-		}
-		ch.items[i], ch.items[p] = ch.items[p], ch.items[i]
-		i = p
-	}
-}
-
-func (ch *candHeap) pop() cand {
-	top := ch.items[0]
-	last := len(ch.items) - 1
-	ch.items[0] = ch.items[last]
-	ch.items = ch.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && ch.before(ch.items[l], ch.items[best]) {
-			best = l
-		}
-		if r < last && ch.before(ch.items[r], ch.items[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		ch.items[i], ch.items[best] = ch.items[best], ch.items[i]
-		i = best
-	}
-	return top
+	return 0
 }
 
 // greedyStep walks layer lvl greedily from cur towards q until no
@@ -299,73 +282,88 @@ func (h *HNSW) greedyStep(q *scanQuery, cur cand, lvl int) cand {
 	}
 }
 
-// searchLayer is the beam search of HNSW (Algorithm 2): starting from eps,
-// it keeps the ef nearest visited nodes of layer lvl and expands the
-// nearest unexpanded candidate until no candidate can improve the result
-// set. visited must be a caller-owned scratch slice of at least Len()
-// false values; it is left dirty. The construction path calls this
-// allocating wrapper once per (insertion, layer) — each layer's result is
-// retained as the next layer's entry points — while the query path goes
-// through searchLayerInto with fully reused scratch.
-func (h *HNSW) searchLayer(q *scanQuery, eps []cand, ef, lvl int, visited []bool) []cand {
-	var frontier, results candHeap
-	var out []cand
-	var cs candSorter
-	return h.searchLayerInto(q, eps, ef, lvl, visited, &frontier, &results, &out, &cs)
-}
-
-// searchLayerInto is searchLayer with every buffer caller-provided: the two
-// beam heaps, the (sorted) output slice and the sorter scratch are reset
-// and reused, so a steady-state call allocates nothing. The returned slice
-// aliases *out.
-func (h *HNSW) searchLayerInto(q *scanQuery, eps []cand, ef, lvl int, visited []bool,
-	frontier, results *candHeap, out *[]cand, cs *candSorter) []cand {
-	frontier.reset(true)
-	results.reset(false)
+// searchLayer is the beam search of HNSW (Algorithm 2) on one sorted
+// slice: beam holds the ≤ ef nearest visited nodes of layer lvl in
+// candBefore order; the first unexpanded entry is expanded, each neighbour
+// that improves the beam is binary-search-inserted (evicting the last entry
+// of a full beam), and the search ends when every entry is expanded. The
+// beam is then the sorted result. This visits the nodes Algorithm 2's two
+// heaps visit, in the same order: its result heap is the beam; a frontier
+// entry missing from the result heap was evicted by something nearer, the
+// result heap only ever improves, so under the strict total order that entry
+// compares after the farthest result — popping it is Algorithm 2's stop —
+// and until then the frontier's minimum is the beam's first unexpanded
+// entry. eps beyond the ef nearest are dropped for the same reason.
+//
+// vis must be reset by the caller to cover every id of the layer and is
+// left dirty; eps already marked in it are skipped. eps must carry expanded
+// unset, as every cand outside this function does. beam is the buffer the
+// result is built in (it must not alias eps); the returned slice aliases
+// it unless it had to grow.
+func (h *HNSW) searchLayer(q *scanQuery, eps []cand, ef, lvl int, vis *visitedSet, beam []cand) []cand {
+	beam = beam[:0]
 	for _, e := range eps {
-		if visited[e.id] {
+		if !vis.visit(e.id) {
+			beam, _ = beamInsert(beam, e, ef)
+		}
+	}
+	// Every entry before next is expanded.
+	for next := 0; next < len(beam); {
+		if beam[next].expanded {
+			next++
 			continue
 		}
-		visited[e.id] = true
-		frontier.push(e)
-		results.push(e)
-	}
-	for results.len() > ef {
-		results.pop()
-	}
-	for frontier.len() > 0 {
-		c := frontier.pop()
-		if results.len() >= ef && candBefore(results.peek(), c) {
-			break
-		}
-		for _, nb := range h.links[c.id][lvl] {
-			if visited[nb] {
+		beam[next].expanded = true
+		c := beam[next].id
+		next++
+		for _, nb := range h.links[c][lvl] {
+			if vis.visit(nb) {
 				continue
 			}
-			visited[nb] = true
-			d := cand{id: nb, dist: h.distQ(q, nb)}
-			if results.len() < ef || candBefore(d, results.peek()) {
-				frontier.push(d)
-				results.push(d)
-				if results.len() > ef {
-					results.pop()
-				}
+			var at int
+			beam, at = beamInsert(beam, cand{id: nb, dist: h.distQ(q, nb)}, ef)
+			if at < next {
+				next = at
 			}
 		}
 	}
-	*out = grow(*out, len(results.items))
-	copy(*out, results.items)
-	cs.sort(*out)
-	return *out
+	for i := range beam {
+		beam[i].expanded = false
+	}
+	return beam
+}
+
+// beamInsert puts c at its place in the sorted beam and returns the beam
+// and c's index. A beam already ef long loses its last entry to make room;
+// if c is no nearer than that entry it is dropped and the index is ef.
+func beamInsert(beam []cand, c cand, ef int) ([]cand, int) {
+	if len(beam) < ef {
+		beam = append(beam, cand{})
+	} else if !candBefore(c, beam[ef-1]) {
+		return beam, ef
+	}
+	// Binary search over everything but the slot being given up.
+	lo, hi := 0, len(beam)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if candBefore(c, beam[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	copy(beam[lo+1:], beam[lo:])
+	beam[lo] = c
+	return beam, lo
 }
 
 // selectNeighbors is the diversity heuristic of HNSW (Algorithm 4): scan
 // candidates nearest-first and keep one only if it is closer to the base
 // vector than to every already-kept neighbour, up to m. cands must carry
-// distances to base; it is sorted in place.
-func (h *HNSW) selectNeighbors(cands []cand, m int) []cand {
-	sort.Slice(cands, func(i, j int) bool { return candBefore(cands[i], cands[j]) })
-	kept := make([]cand, 0, m)
+// distances to base and be sorted under candBefore; the selection is built
+// in kept's backing array.
+func (h *HNSW) selectNeighbors(cands []cand, m int, kept []cand) []cand {
+	kept = kept[:0]
 	for _, c := range cands {
 		if len(kept) == m {
 			break
@@ -422,10 +420,17 @@ func (h *HNSW) insertBatch(bs, be int) {
 	// snapEntry/snapMax freeze the descent start so a commit that raises
 	// the entry point cannot leak into a sibling's search.
 	snapEntry, snapMax := h.entry, h.maxLvl
-	cands := make([][][]cand, be-bs)
+	b := &h.build
+	for len(b.beams) < be-bs {
+		b.beams = append(b.beams, nil)
+	}
+	for i := range b.beams[:be-bs] {
+		b.beams[i] = b.beams[i][:0]
+	}
 	if snapEntry >= 0 {
 		// Pool.For distributes ids dynamically, but each id writes only its
-		// own cands slot, so the collected candidates are order-independent.
+		// own beams slot and borrows its visited set from the scratch pool,
+		// so the collected candidates are order-independent.
 		_ = h.pool.For(be-bs, func(i int) error {
 			id := bs + i
 			q, lvl := h.st.queryOf(id), h.levels[id]
@@ -437,24 +442,27 @@ func (h *HNSW) insertBatch(bs, be int) {
 			if snapMax < top {
 				top = snapMax
 			}
-			perLvl := make([][]cand, top+1)
-			visited := make([]bool, bs)
-			eps := []cand{cur}
-			for l := top; l >= 0; l-- {
-				for v := range visited {
-					visited[v] = false
-				}
-				res := h.searchLayer(&q, eps, h.cfg.EfConstruction, l, visited)
-				perLvl[l] = res
-				eps = res
+			perLvl := b.beams[i][:cap(b.beams[i])]
+			for len(perLvl) < top+1 {
+				perLvl = append(perLvl, nil)
 			}
-			cands[i] = perLvl
+			perLvl = perLvl[:top+1]
+			sc := getScratch()
+			sc.eps[0] = cur
+			eps := sc.eps[:]
+			for l := top; l >= 0; l-- {
+				sc.visited.reset(bs)
+				perLvl[l] = h.searchLayer(&q, eps, h.cfg.EfConstruction, l, &sc.visited, perLvl[l])
+				eps = perLvl[l]
+			}
+			putScratch(sc)
+			b.beams[i] = perLvl
 			return nil
 		})
 	}
 	// Phase 2: sequential commits in id order.
 	for id := bs; id < be; id++ {
-		h.commit(id, bs, cands[id-bs])
+		h.commit(id, bs, b.beams[id-bs])
 	}
 }
 
@@ -468,35 +476,47 @@ func (h *HNSW) commit(id, bs int, perLvl [][]cand) {
 		h.entry, h.maxLvl = id, lvl
 		return
 	}
-	// Distances to already-committed batch siblings, computed once and
-	// reused on every layer both share.
-	sibs := make([]cand, 0, id-bs)
+	// Distances to already-committed batch siblings, computed and sorted
+	// once and merged into every layer both share.
+	b := &h.build
+	b.sibs = b.sibs[:0]
 	for j := bs; j < id; j++ {
-		sibs = append(sibs, cand{id: int32(j), dist: h.distIDs(int32(id), int32(j))})
+		b.sibs = append(b.sibs, cand{id: int32(j), dist: h.distIDs(int32(id), int32(j))})
 	}
+	slices.SortFunc(b.sibs, candCompare)
 	for l := lvl; l >= 0; l-- {
-		var merged []cand
+		// The layer's beam arrives sorted; merge the siblings into it.
+		var beam []cand
 		if l < len(perLvl) {
-			merged = append(merged, perLvl[l]...)
+			beam = perLvl[l]
 		}
-		for _, s := range sibs {
-			if h.levels[s.id] >= l {
-				merged = append(merged, s)
+		merged := b.merged[:0]
+		for _, s := range b.sibs {
+			if h.levels[s.id] < l {
+				continue
 			}
+			for len(beam) > 0 && candBefore(beam[0], s) {
+				merged = append(merged, beam[0])
+				beam = beam[1:]
+			}
+			merged = append(merged, s)
 		}
+		merged = append(merged, beam...)
+		b.merged = merged
 		if len(merged) == 0 {
 			continue
 		}
-		sel := h.selectNeighbors(merged, h.cfg.M)
-		nbs := make([]int32, len(sel))
-		for k, c := range sel {
+		b.kept = h.selectNeighbors(merged, h.cfg.M, b.kept)
+		nbs := make([]int32, len(b.kept))
+		for k, c := range b.kept {
 			nbs[k] = c.id
 		}
 		h.links[id][l] = nbs
-		for _, c := range sel {
-			h.links[c.id][l] = append(h.links[c.id][l], int32(id))
-			if limit := h.maxM(l); len(h.links[c.id][l]) > limit {
-				h.prune(c.id, l, limit)
+		// prune reuses b.merged and b.kept, so walk the stored ids.
+		for _, nb := range nbs {
+			h.links[nb][l] = append(h.links[nb][l], int32(id))
+			if limit := h.maxM(l); len(h.links[nb][l]) > limit {
+				h.prune(nb, l, limit)
 			}
 		}
 	}
@@ -508,15 +528,18 @@ func (h *HNSW) commit(id, bs int, perLvl [][]cand) {
 // prune re-selects node id's layer-l neighbours down to limit with the
 // same diversity heuristic used at insertion.
 func (h *HNSW) prune(id int32, l, limit int) {
+	b := &h.build
 	old := h.links[id][l]
-	cands := make([]cand, len(old))
-	for i, nb := range old {
-		cands[i] = cand{id: nb, dist: h.distIDs(id, nb)}
+	cands := b.merged[:0]
+	for _, nb := range old {
+		cands = append(cands, cand{id: nb, dist: h.distIDs(id, nb)})
 	}
-	sel := h.selectNeighbors(cands, limit)
-	nbs := make([]int32, len(sel))
-	for i, c := range sel {
-		nbs[i] = c.id
+	slices.SortFunc(cands, candCompare)
+	b.merged = cands
+	b.kept = h.selectNeighbors(cands, limit, b.kept)
+	nbs := old[:0]
+	for _, c := range b.kept {
+		nbs = append(nbs, c.id)
 	}
 	h.links[id][l] = nbs
 }
@@ -557,13 +580,10 @@ func (h *HNSW) searchInto(sc *scratch, q []float64, k int) ([]Result, error) {
 		base = k
 	}
 	ef := widenEf(base, h.nDeleted)
-	sc.visited = grow(sc.visited, h.st.len())
-	for i := range sc.visited {
-		sc.visited[i] = false
-	}
+	sc.visited.reset(h.st.len())
 	sc.eps[0] = cur
-	res := h.searchLayerInto(sq, sc.eps[:], ef, 0, sc.visited,
-		&sc.frontier, &sc.results, &sc.layer, &sc.csort)
+	sc.layer = h.searchLayer(sq, sc.eps[:], ef, 0, &sc.visited, sc.layer)
+	res := sc.layer
 	if h.st.prec == Float64 {
 		sc.out = sc.out[:0]
 		for _, c := range res {

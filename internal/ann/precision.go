@@ -211,27 +211,32 @@ func newVecStore(metric Metric, prec Precision) vecStore {
 
 func (s *vecStore) len() int { return len(s.vecs) }
 
-// add appends validated vectors (see checkAdd) and their scan copies.
+// add appends validated vectors (see checkAdd) and their scan copies. The
+// float64 copies of one call share a single backing array.
 func (s *vecStore) add(dim int, vecs [][]float64) {
 	s.dim = dim
+	slab := make([]float64, 0, len(vecs)*dim)
 	for _, v := range vecs {
-		cp := make([]float64, len(v))
-		copy(cp, v)
+		at := len(slab)
+		slab = append(slab, v...)
+		cp := slab[at:len(slab):len(slab)]
 		s.vecs = append(s.vecs, cp)
 		s.norms = append(s.norms, Norm(cp))
 		switch s.prec {
 		case Float32:
-			row := make([]float32, len(cp))
+			at := len(s.f32)
+			s.f32 = append(s.f32, make([]float32, len(cp))...)
+			row := s.f32[at:]
 			for i, x := range cp {
 				row[i] = float32(x)
 			}
-			s.f32 = append(s.f32, row...)
 			s.n32 = append(s.n32, math.Sqrt(sqSumF32(row)))
 		case Int8:
 			scale := quantizeScale(cp)
-			row := make([]int8, len(cp))
+			at := len(s.codes)
+			s.codes = append(s.codes, make([]int8, len(cp))...)
+			row := s.codes[at:]
 			quantizeInto(row, cp, scale)
-			s.codes = append(s.codes, row...)
 			s.scales = append(s.scales, scale)
 			s.ni8 = append(s.ni8, float64(scale)*math.Sqrt(float64(dotI8(row, row))))
 		}

@@ -1,8 +1,8 @@
 package ann
 
 // Reusable per-goroutine search scratch. Every allocation the query path
-// needs — the reduced-precision query copies, the bounded candidate heaps,
-// the HNSW visited set and beam buffers, the re-rank buffer and the result
+// needs — the reduced-precision query copies, the bounded candidate heap,
+// the HNSW visited set and beam buffer, the re-rank buffer and the result
 // slice itself — lives in one scratch value that is reused across queries,
 // so a steady-state search allocates nothing. The scratch is exposed two
 // ways:
@@ -16,9 +16,10 @@ package ann
 //     returned slices are caller-owned and never recycled.
 //
 // Scratch never carries information between queries — every buffer is
-// length-reset before use — so recycling it through a sync.Pool cannot
-// perturb results and the determinism contract (bit-identical output at
-// every pool width) is untouched.
+// length-reset, and the visited set re-armed, before use — so recycling it
+// through a sync.Pool cannot perturb results and the determinism contract
+// (bit-identical output at every pool width) is untouched. The HNSW
+// insertion path borrows the same scratch for its candidate searches.
 
 import (
 	"fmt"
@@ -36,28 +37,54 @@ type scratch struct {
 	f32 []float32 // reduced-precision query copies, reused across queries
 	i8  []int8
 
-	sel      candHeap // bounded farthest-first selection (Flat top-k / rerank pool)
-	frontier candHeap // HNSW beam frontier (nearest-first)
-	results  candHeap // HNSW beam result set (farthest-first)
-	layer    []cand   // sorted base-layer beam output
-	visited  []bool   // HNSW visited set, cleared per query
-	eps      [1]cand  // entry-point slice for the base-layer beam
+	sel     candHeap   // bounded farthest-first selection (Flat top-k / rerank pool)
+	layer   []cand     // HNSW base-layer beam (searchLayer's sorted result)
+	visited visitedSet // HNSW visited set, re-armed per layer search
+	eps     [1]cand    // entry-point slice of the first searched layer
 
 	cands []Result // re-rank candidate buffer
 	out   []Result // final results (returned by searchInto)
 
-	rsort resultSorter // allocation-free sort.Interface adapters
-	csort candSorter
+	rsort resultSorter // allocation-free sort.Interface adapter
 
 	arena []Result   // SearchBatch: results of all queries, back to back
 	spans [][2]int   // SearchBatch: [start, end) of each query in arena
 	batch [][]Result // SearchBatch: per-query views into arena
 }
 
-// reset re-arms a heap for a new query without freeing its backing array.
-func (ch *candHeap) reset(min bool) {
-	ch.items = ch.items[:0]
-	ch.min = min
+// visitedSet marks the nodes one layer search has seen. A node is marked
+// when its stamp equals the current generation, so re-arming the set is one
+// increment rather than an O(n) clear; the stamps are wiped only when the
+// 16-bit generation wraps.
+type visitedSet struct {
+	stamp []uint16
+	gen   uint16
+}
+
+// reset re-arms the set, unmarked, for ids in [0, n).
+func (v *visitedSet) reset(n int) {
+	if c := cap(v.stamp); c < n {
+		// append's amortized growth: an index growing one vector at a time
+		// must not reallocate per insert. The new tail is zeroed.
+		v.stamp = append(v.stamp[:c], make([]uint16, n-c)...)
+	}
+	v.stamp = v.stamp[:n]
+	v.gen++
+	if v.gen == 0 {
+		// Wrapped: a stamp left at an old generation could now read as
+		// marked. Wipe the whole backing array, not just the first n.
+		clear(v.stamp[:cap(v.stamp)])
+		v.gen = 1
+	}
+}
+
+// visit marks id and reports whether it was marked already.
+func (v *visitedSet) visit(id int32) bool {
+	if v.stamp[id] == v.gen {
+		return true
+	}
+	v.stamp[id] = v.gen
+	return false
 }
 
 // resultSorter sorts []Result by (distance, id) through a pointer receiver,
@@ -79,19 +106,6 @@ func (s *resultSorter) sort(rs []Result) {
 	s.rs = rs
 	sort.Sort(s)
 	s.rs = nil
-}
-
-// candSorter is resultSorter for []cand under candBefore.
-type candSorter struct{ cs []cand }
-
-func (s *candSorter) Len() int           { return len(s.cs) }
-func (s *candSorter) Swap(i, j int)      { s.cs[i], s.cs[j] = s.cs[j], s.cs[i] }
-func (s *candSorter) Less(i, j int) bool { return candBefore(s.cs[i], s.cs[j]) }
-
-func (s *candSorter) sort(cs []cand) {
-	s.cs = cs
-	sort.Sort(s)
-	s.cs = nil
 }
 
 // grow returns s with length n, reusing the backing array when it is wide

@@ -45,6 +45,9 @@ type serveMetrics struct {
 	stageMerge       *obs.Histogram
 
 	searchBatchSize *obs.Histogram
+
+	compactSeconds *obs.Histogram
+	replaySeconds  *obs.Gauge
 }
 
 // batchSizeBuckets covers the queries-per-request histogram: powers of two
@@ -80,6 +83,11 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		stageMerge:       searchStage("merge"),
 		searchBatchSize: reg.Histogram("gem_search_batch_size",
 			"Queries answered per /search request.", nil, batchSizeBuckets()),
+		compactSeconds: reg.Histogram("gem_catalog_compact_seconds",
+			"Wall-clock of one catalog compaction (store fold + index rebuild), spent under the index write lock.",
+			nil, obs.DefBuckets()),
+		replaySeconds: reg.Gauge("gem_catalog_replay_seconds",
+			"Wall-clock of the startup replay of the catalog stores into the indexes.", nil),
 	}
 }
 

@@ -22,10 +22,11 @@ const searchBody = `{"column":{"name":"cost","values":[10,21,34,11,50,3]},"k":2}
 
 // TestMetricsDeterminismNeutral is the tentpole's hard constraint: /embed
 // and /search bodies are byte-identical with metrics (and the slow log) on
-// vs off, at workers 1, 2 and 8, cold and cached.
+// vs off, at workers 1, 2 and 8, cold and cached — and so are the bodies of
+// a timed compaction and of the search that follows it.
 func TestMetricsDeterminismNeutral(t *testing.T) {
 	var ref []byte // metrics-off, workers 1, cold /embed answer
-	var refSearch []byte
+	var refSearch, refCompact, refAfter []byte
 	for _, workers := range []int{1, 2, 8} {
 		for _, metricsOn := range []bool{false, true} {
 			cfg := Config{Index: ann.NewFlat(ann.Cosine)}
@@ -44,9 +45,25 @@ func TestMetricsDeterminismNeutral(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("workers=%d metrics=%v: search status %d: %s", workers, metricsOn, code, search)
 			}
+			resp := do(t, http.MethodDelete, ts.URL+"/columns/price", "")
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("workers=%d metrics=%v: remove status %d", workers, metricsOn, resp.StatusCode)
+			}
+			code, compact := post(t, ts.URL+"/columns/compact", "")
+			if code != http.StatusOK {
+				t.Fatalf("workers=%d metrics=%v: compact status %d: %s", workers, metricsOn, code, compact)
+			}
+			_, after := post(t, ts.URL+"/search", searchBody)
 			if ref == nil {
-				ref, refSearch = cold, search
+				ref, refSearch, refCompact, refAfter = cold, search, compact, after
 				continue
+			}
+			if !bytes.Equal(refCompact, compact) {
+				t.Errorf("workers=%d metrics=%v: /columns/compact body differs from reference", workers, metricsOn)
+			}
+			if !bytes.Equal(refAfter, after) {
+				t.Errorf("workers=%d metrics=%v: /search body after compaction differs from reference:\n%s\n%s", workers, metricsOn, refAfter, after)
 			}
 			if !bytes.Equal(ref, cold) || !bytes.Equal(ref, cached) {
 				t.Errorf("workers=%d metrics=%v: /embed body differs from reference", workers, metricsOn)
@@ -101,6 +118,9 @@ func TestMetricsExposition(t *testing.T) {
 	if code, body := post(t, ts.URL+"/search", searchBody); code != http.StatusOK {
 		t.Fatalf("search: status %d: %s", code, body)
 	}
+	if code, body := post(t, ts.URL+"/columns/compact", ""); code != http.StatusOK {
+		t.Fatalf("compact: status %d: %s", code, body)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -133,6 +153,8 @@ func TestMetricsExposition(t *testing.T) {
 		`gem_search_shard_seconds_count{shard="0"}`:           1,
 		`gem_search_shard_seconds_count{shard="1"}`:           1,
 		`gem_catalog_live_columns`:                            8,
+		`gem_catalog_compact_seconds_count`:                   1,
+		`gem_catalog_replay_seconds`:                          0,
 		`gem_uptime_seconds`:                                  0,
 		`gem_build_info`:                                      1,
 	} {

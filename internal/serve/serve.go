@@ -289,8 +289,15 @@ func New(e *core.Embedder, cfg Config) (*Server, error) {
 		s.store = cfg.Store
 		if cat.Store(0) != nil {
 			s.storeMode = true
+			var t0 time.Time
+			if s.trace {
+				t0 = time.Now()
+			}
 			if err := s.replayCatalog(); err != nil {
 				return nil, err
+			}
+			if s.trace {
+				s.met.replaySeconds.Set(time.Since(t0).Seconds())
 			}
 		}
 	}
@@ -770,7 +777,14 @@ func (s *Server) CompactCatalog() (int, error) {
 // the compaction before the in-memory indexes and id maps are touched —
 // memory and disk never diverge on the common failure path.
 func (s *Server) compactLocked() error {
+	var t0 time.Time
+	if s.trace {
+		t0 = time.Now()
+	}
 	diverged, err := s.cat.Compact()
+	if s.trace {
+		s.met.compactSeconds.Observe(time.Since(t0).Seconds())
+	}
 	if diverged {
 		// A shard store's live order is the contract that makes restart
 		// replay line up with the rebuilt index; a mismatch means a

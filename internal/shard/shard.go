@@ -32,8 +32,10 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -401,18 +403,22 @@ func (c *Catalog) SearchBatch(qs [][]float64, k int) ([][]ann.Result, error) {
 				out = append(out, ann.Result{ID: c.globOf[si][r.ID], Dist: r.Dist})
 			}
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Dist != out[j].Dist {
-				return out[i].Dist < out[j].Dist
-			}
-			return out[i].ID < out[j].ID
-		})
+		slices.SortFunc(out, compareResults)
 		if len(out) > k {
 			out = out[:k]
 		}
 		outs[j] = out
 	}
 	return outs, nil
+}
+
+// compareResults orders merged hits by (distance, global id). Global ids
+// are unique, so the order is total and the sort deterministic.
+func compareResults(a, b ann.Result) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Compact folds every shard's journal into its snapshot, rebuilds every
