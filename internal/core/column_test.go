@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
+	"github.com/gem-embeddings/gem/internal/stats"
 	"github.com/gem-embeddings/gem/internal/table"
 )
 
@@ -95,6 +98,63 @@ func TestColumnSignatureMatchesBatch(t *testing.T) {
 			if sig.Stats[j] != sigs[i].Stats[j] {
 				t.Fatalf("column %d stat %d differs", i, j)
 			}
+		}
+		if want := stats.UniqueCount(col.Values); sig.Distinct != want || sigs[i].Distinct != want {
+			t.Fatalf("column %d: Distinct %d (batched %d), want %d", i, sig.Distinct, sigs[i].Distinct, want)
+		}
+	}
+}
+
+// TestColumnSignatureOrderFree shuffles a column that repeats its values:
+// the distributional half of the signature and the order-statistic features
+// may not move by a bit. Mean and CV are summed in column order, so they
+// are held to rounding only.
+func TestColumnSignatureOrderFree(t *testing.T) {
+	ds := smallCorpus()
+	e, err := NewEmbedder(fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	col := table.Column{Name: "dup", Values: make([]float64, 600)}
+	for i := range col.Values {
+		col.Values[i] = math.Round(10*ds.Columns[0].Values[rng.Intn(len(ds.Columns[0].Values))]) / 10
+	}
+	want, err := e.ColumnSignature(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Distinct >= len(col.Values)/2 {
+		t.Fatalf("%d distinct of %d values; the test wants repetition", want.Distinct, len(col.Values))
+	}
+	for s := 0; s < 200; s++ {
+		rng.Shuffle(len(col.Values), func(a, b int) { col.Values[a], col.Values[b] = col.Values[b], col.Values[a] })
+		got, err := e.ColumnSignature(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want.MeanProbs {
+			if math.Float64bits(got.MeanProbs[j]) != math.Float64bits(want.MeanProbs[j]) {
+				t.Fatalf("shuffle %d: mean-prob %d = %v, want %v bit for bit", s, j, got.MeanProbs[j], want.MeanProbs[j])
+			}
+		}
+		for j, name := range StatFeatureNames() {
+			switch name {
+			case "mean", "cv":
+				if d := math.Abs(got.Stats[j] - want.Stats[j]); d > 1e-12*math.Abs(want.Stats[j]) {
+					t.Fatalf("shuffle %d: %s = %v, want %v", s, name, got.Stats[j], want.Stats[j])
+				}
+			default:
+				if math.Float64bits(got.Stats[j]) != math.Float64bits(want.Stats[j]) {
+					t.Fatalf("shuffle %d: %s = %v, want %v bit for bit", s, name, got.Stats[j], want.Stats[j])
+				}
+			}
+		}
+		if got.Distinct != want.Distinct {
+			t.Fatalf("shuffle %d: Distinct %d, want %d", s, got.Distinct, want.Distinct)
 		}
 	}
 }

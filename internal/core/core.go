@@ -30,6 +30,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"github.com/gem-embeddings/gem/internal/autoencoder"
 	"github.com/gem-embeddings/gem/internal/gmm"
@@ -319,17 +320,13 @@ func (e *Embedder) freezeMoments(ds *table.Dataset) error {
 	if !e.cfg.Features.Has(Statistical) {
 		return nil
 	}
-	statFn := StatisticalFeatures
-	if e.cfg.RawStats {
-		statFn = RawStatisticalFeatures
-	}
 	feats := make([][]float64, len(ds.Columns))
 	err := e.pool.For(len(ds.Columns), func(i int) error {
-		fs, err := statFn(ds.Columns[i].Values, e.cfg.EntropyBins)
-		if err != nil {
-			return fmt.Errorf("core: column %d (%q): %w", i, ds.Columns[i].Name, err)
+		values := ds.Columns[i].Values
+		if len(values) == 0 {
+			return fmt.Errorf("core: column %d (%q): %w: empty column", i, ds.Columns[i].Name, ErrInput)
 		}
-		feats[i] = fs
+		feats[i], _ = e.features(values, sortedCopy(values))
 		return nil
 	})
 	if err != nil {
@@ -396,30 +393,12 @@ func StatFeatureNames() []string {
 // keeps the z-scores informative across decades; the raw-vs-log choice is
 // benchmarked in the ablation benches (DESIGN.md §5).
 func StatisticalFeatures(values []float64, entropyBins int) ([]float64, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("%w: empty column", ErrInput)
-	}
-	if entropyBins <= 0 {
-		entropyBins = 20
-	}
-	mean, err := stats.Mean(values)
+	fs, err := RawStatisticalFeatures(values, entropyBins)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	cv, _ := stats.CoefficientOfVariation(values)
-	ent, _ := stats.Entropy(values, entropyBins)
-	rng, _ := stats.Range(values)
-	p10, _ := stats.Percentile(values, 10)
-	p90, _ := stats.Percentile(values, 90)
-	return []float64{
-		slog(float64(stats.UniqueCount(values))),
-		slog(mean),
-		slog(cv),
-		ent,
-		slog(rng),
-		slog(p10),
-		slog(p90),
-	}, nil
+	logMeasure(fs)
+	return fs, nil
 }
 
 // RawStatisticalFeatures is StatisticalFeatures without the signed-log
@@ -432,24 +411,79 @@ func RawStatisticalFeatures(values []float64, entropyBins int) ([]float64, error
 	if entropyBins <= 0 {
 		entropyBins = 20
 	}
-	mean, err := stats.Mean(values)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	fs, _ := sortedFeatures(values, sortedCopy(values), entropyBins)
+	return fs, nil
+}
+
+// sortedCopy returns an ascending copy of values (NaNs first).
+func sortedCopy(values []float64) []float64 {
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return sorted
+}
+
+// sortedFeatures computes the seven raw features of a non-empty column
+// from the column and its ascending copy, and returns the number of distinct
+// values beside them. The order-free features are read off the sorted
+// slice: unique count = runs of equal values (all NaNs counting as one),
+// the two percentiles by interpolation, the entropy histogram. Mean,
+// deviation and the extremes come from two passes in COLUMN order — sums
+// round by order and stats.Min/Max keep a NaN only when it comes first —
+// so every feature has the bits the seven separate stats calls gave.
+func sortedFeatures(values, sorted []float64, entropyBins int) ([]float64, int) {
+	mean, _ := stats.Mean(values)
+	lo, hi := values[0], values[0]
+	var ss float64
+	for _, x := range values {
+		d := x - mean
+		ss += d * d
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
 	}
-	cv, _ := stats.CoefficientOfVariation(values)
-	ent, _ := stats.Entropy(values, entropyBins)
-	rng, _ := stats.Range(values)
-	p10, _ := stats.Percentile(values, 10)
-	p90, _ := stats.Percentile(values, 90)
-	return []float64{
-		float64(stats.UniqueCount(values)),
-		mean,
-		cv,
-		ent,
-		rng,
-		p10,
-		p90,
-	}, nil
+	cv := math.Sqrt(ss / float64(len(values)))
+	if mean != 0 {
+		cv /= math.Abs(mean)
+	}
+
+	nans := 0
+	for nans < len(sorted) && math.IsNaN(sorted[nans]) {
+		nans++
+	}
+	distinct := min(nans, 1)
+	for i := nans; i < len(sorted); i++ {
+		if i == nans || sorted[i] != sorted[i-1] {
+			distinct++
+		}
+	}
+	ent, _ := stats.EntropyBetween(sorted, lo, hi, entropyBins)
+	p10, _ := stats.PercentileSorted(sorted, 10)
+	p90, _ := stats.PercentileSorted(sorted, 90)
+	return []float64{float64(distinct), mean, cv, ent, hi - lo, p10, p90}, distinct
+}
+
+// logMeasure applies the signed-log measurement to the scale-carrying
+// features in place; the entropy is already scale-free.
+func logMeasure(fs []float64) {
+	for j := range fs {
+		if j != 3 {
+			fs[j] = slog(fs[j])
+		}
+	}
+}
+
+// features returns a column's statistical features in the configured
+// measurement, and its number of distinct values, from the column and its
+// ascending copy.
+func (e *Embedder) features(values, sorted []float64) ([]float64, int) {
+	fs, distinct := sortedFeatures(values, sorted, e.cfg.EntropyBins)
+	if !e.cfg.RawStats {
+		logMeasure(fs)
+	}
+	return fs, distinct
 }
 
 // slog is the signed log transform sign(x)·log(1+|x|).
@@ -470,6 +504,9 @@ type Signature struct {
 	MeanProbs []float64
 	// Stats holds the raw (unstandardized) statistical features f_i.
 	Stats []float64
+	// Distinct is the number of distinct values in the column — what the
+	// signature cost, where len(values) is what the column holds.
+	Distinct int
 }
 
 // Signatures computes the signature of every column in ds under the fitted
@@ -501,21 +538,18 @@ func (e *Embedder) Signatures(ds *table.Dataset) ([]Signature, error) {
 
 // columnSignature computes one column's signature; the exact code path the
 // batched Signatures fans out, so single-column and batched results are
-// bit-identical. The error is unwrapped for the callers to contextualize.
+// bit-identical. The column is sorted once, into a copy both halves of the
+// signature read: the mixture kernel evaluates each run of equal values
+// once and the features take their order statistics from the same slice.
+// The error is unwrapped for the callers to contextualize.
 func (e *Embedder) columnSignature(col table.Column) (Signature, error) {
-	mp, err := e.model.MeanResponsibilities(col.Values)
+	sorted := sortedCopy(col.Values)
+	mp, err := e.model.MeanResponsibilities(sorted)
 	if err != nil {
 		return Signature{}, err
 	}
-	statFn := StatisticalFeatures
-	if e.cfg.RawStats {
-		statFn = RawStatisticalFeatures
-	}
-	fs, err := statFn(col.Values, e.cfg.EntropyBins)
-	if err != nil {
-		return Signature{}, err
-	}
-	return Signature{Column: col.Name, MeanProbs: mp, Stats: fs}, nil
+	fs, distinct := e.features(col.Values, sorted)
+	return Signature{Column: col.Name, MeanProbs: mp, Stats: fs, Distinct: distinct}, nil
 }
 
 // Embed runs the full Gem pipeline on ds and returns one embedding row per

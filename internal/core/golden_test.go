@@ -20,13 +20,14 @@ import (
 // pass. If a change is SUPPOSED to alter numerics, update this constant
 // in the same commit and say so in the commit message.
 //
-// Last intentional change (ISSUE 13, regenerated once for all three): EM
-// now stops on the per-value rule |ΔlogL| < Tol·n with Tol = 1e-4, so the
-// restarts converge (fewer iterations, different parameters) instead of
-// running to MaxIter; responsibilities come from the one-exp softmax
-// (exp(l_j − max)/Σ instead of exp(l_j − logsumexp), a last-ulp change);
-// and the M-step sums per-chunk partials in chunk order.
-const goldenFingerprint = "6e0c0d92e57c85f669af78e357abc4252778c7103fe9e4102f3f8b531d6c567b"
+// Last intentional change (ISSUE 17, regenerated once): MeanProbs is now
+// the count-weighted sum of one responsibility row per DISTINCT value,
+// accumulated in ascending value order, where it was one row per value in
+// column order — the same terms summed in another order and grouping, a
+// last-bits change in every embedding. The fitted mixture and all seven
+// statistical features keep their bits (the fingerprint is unchanged with
+// the kernel summing in column order).
+const goldenFingerprint = "7847b4face6b6d5600da4bd8a3af764dbb7d797bd9ffbb0244b0a7701246c885"
 
 // goldenCatalog builds a fixed-seed synthetic catalog with distinct
 // column shapes (gaussians, mixtures, uniform, lognormal, constant-ish),

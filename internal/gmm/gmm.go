@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -105,7 +106,7 @@ type Config struct {
 	Restarts int
 	// Seed makes the run deterministic.
 	Seed int64
-	// Init selects the initialization method. Default InitKMeans.
+	// Init selects the initialization method. Default InitQuantile.
 	Init InitMethod
 	// Pool schedules restart-, chunk- and candidate-level parallelism. A
 	// nil Pool (the default) runs everything on the calling goroutine. The
@@ -775,14 +776,25 @@ func (m *Model) Responsibilities(x float64) []float64 {
 // part of Gem's signature (Figure 2). The result sums to 1 for a non-empty
 // column.
 //
-// This is the embedding hot path (columns × values × components), so the
-// per-value E-step runs the blocked weightedLogPDFs kernel against the
-// folded per-component constants and a single reused scratch buffer — the
-// arithmetic is term-for-term identical to Responsibilities, without its two
-// heap allocations and k logarithms per value.
+// This is the embedding hot path, and a responsibility depends on the value
+// alone, so each DISTINCT value is evaluated once: the column is walked in
+// ascending order (values already ascending are used as they are, anything
+// else is sorted into a copy — the argument is never modified), every run
+// of equal values pays one weightedLogPDFs + softmax against the folded
+// per-component constants, and the row is weighted by the run length. A
+// column costs one sort plus K exponentials per distinct value, and the
+// result does not depend on the order of the values inside the column.
+// Each row is term-for-term Responsibilities(x); +0 and −0 compare equal and
+// form one run (the squared deviation is the same for both), a NaN equals
+// nothing, is its own run and makes every entry of the result NaN.
 func (m *Model) MeanResponsibilities(values []float64) ([]float64, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("%w: empty column", ErrInput)
+	}
+	sorted := values
+	if !slices.IsSorted(sorted) {
+		sorted = slices.Clone(values)
+		slices.Sort(sorted)
 	}
 	k := len(m.Weights)
 	c1 := make([]float64, k)
@@ -790,12 +802,21 @@ func (m *Model) MeanResponsibilities(values []float64) ([]float64, error) {
 	m.foldedConstants(c1, c2)
 	out := make([]float64, k)
 	buf := make([]float64, k)
-	for _, x := range values {
+	for i := 0; i < len(sorted); {
+		x := sorted[i]
+		run := i + 1
+		for run < len(sorted) && sorted[run] == x {
+			run++
+		}
 		weightedLogPDFs(x, m.Means, c1, c2, buf)
 		softmax(buf)
+		count := float64(run - i)
 		for j, r := range buf {
-			out[j] += r
+			// The conversion rounds the product before the add, as softmax
+			// does (no FMA); a run of one adds r itself, 1·r being exact.
+			out[j] += float64(count * r)
 		}
+		i = run
 	}
 	inv := 1 / float64(len(values))
 	for j := range out {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/gem-embeddings/gem/internal/mathx"
@@ -111,19 +112,13 @@ func TestSoftmaxNonFiniteRows(t *testing.T) {
 // TestTrainingAndInferenceResponsibilitiesIdentical walks a column through
 // the E-step's arithmetic — folded constants, weightedLogPDFs into the
 // row, softmax in place — and requires each row to equal
-// Responsibilities(x) bit for bit, its log-likelihood term to equal
-// LogPDF(x), and MeanResponsibilities to equal the in-order mean of the
-// rows.
+// Responsibilities(x) bit for bit and its log-likelihood term to equal
+// LogPDF(x).
 func TestTrainingAndInferenceResponsibilitiesIdentical(t *testing.T) {
-	m, err := Fit(mixtureSample(3000, 71), Config{K: 7, Restarts: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := append(mixtureSample(400, 72), -1e4, 1e4, 0) // far-flung values too
+	m, col := kernelModelAndColumn(t)
 	k := m.K()
 	c1, c2 := make([]float64, k), make([]float64, k)
 	m.foldedConstants(c1, c2)
-	mean := make([]float64, k)
 	row := make([]float64, k)
 	for _, x := range col {
 		weightedLogPDFs(x, m.Means, c1, c2, row)
@@ -135,16 +130,146 @@ func TestTrainingAndInferenceResponsibilitiesIdentical(t *testing.T) {
 			if math.Float64bits(r) != math.Float64bits(row[j]) {
 				t.Fatalf("x=%v component %d: E-step %v, Responsibilities %v", x, j, row[j], r)
 			}
-			mean[j] += row[j]
 		}
 	}
+}
+
+// kernelModelAndColumn is a small fitted mixture and a column with
+// far-flung values, signed zeros and every value of its first half
+// repeated one to three more times, out of order.
+func kernelModelAndColumn(t *testing.T) (*Model, []float64) {
+	t.Helper()
+	m, err := Fit(mixtureSample(3000, 71), Config{K: 7, Restarts: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := append(mixtureSample(400, 72), -1e4, 1e4, 0, math.Copysign(0, -1), 0)
+	for i := 0; i < 200; i++ {
+		for c := 0; c <= i%3; c++ {
+			col = append(col, col[i])
+		}
+	}
+	rand.New(rand.NewSource(74)).Shuffle(len(col), func(a, b int) { col[a], col[b] = col[b], col[a] })
+	return m, col
+}
+
+// requireSameBits fails unless got and want agree bit for bit.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d components, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: component %d = %v, want %v bit for bit", what, j, got[j], want[j])
+		}
+	}
+}
+
+// TestMeanResponsibilitiesIsCountWeightedMeanOverDistinct is the kernel's
+// specification: the count-weighted mean of Responsibilities over the
+// sorted distinct values of the column, bit for bit.
+func TestMeanResponsibilitiesIsCountWeightedMeanOverDistinct(t *testing.T) {
+	m, col := kernelModelAndColumn(t)
+	sorted := append([]float64(nil), col...)
+	sort.Float64s(sorted)
+	want := make([]float64, m.K())
+	distinct := 0
+	for i := 0; i < len(sorted); {
+		run := i
+		for run < len(sorted) && sorted[run] == sorted[i] {
+			run++
+		}
+		for j, r := range m.Responsibilities(sorted[i]) {
+			want[j] += float64(float64(run-i) * r)
+		}
+		distinct++
+		i = run
+	}
+	if distinct >= len(col)*3/4 || distinct < 400 {
+		t.Fatalf("column has %d distinct of %d values; the test wants heavy repetition", distinct, len(col))
+	}
+	for j := range want {
+		want[j] *= 1 / float64(len(col))
+	}
+	before := append([]float64(nil), col...)
 	got, err := m.MeanResponsibilities(col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSameBits(t, "unsorted column", got, want)
+	requireSameBits(t, "argument after the call", col, before)
+	got, err = m.MeanResponsibilities(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, "ascending column", got, want)
+}
+
+// TestMeanResponsibilitiesAllDistinctAscendingIsInOrderMean ties the kernel
+// to the form it replaced: on an ascending column without repeats every run
+// has length one, and the result is the in-order mean of the rows.
+func TestMeanResponsibilitiesAllDistinctAscendingIsInOrderMean(t *testing.T) {
+	m, col := kernelModelAndColumn(t)
+	sort.Float64s(col)
+	distinct := col[:1]
+	for _, x := range col[1:] {
+		if x != distinct[len(distinct)-1] {
+			distinct = append(distinct, x)
+		}
+	}
+	mean := make([]float64, m.K())
+	for _, x := range distinct {
+		for j, r := range m.Responsibilities(x) {
+			mean[j] += r
+		}
+	}
 	for j := range mean {
-		if want := mean[j] * (1 / float64(len(col))); math.Float64bits(got[j]) != math.Float64bits(want) {
-			t.Fatalf("component %d: MeanResponsibilities %v, mean of rows %v", j, got[j], want)
+		mean[j] *= 1 / float64(len(distinct))
+	}
+	got, err := m.MeanResponsibilities(distinct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, "all-distinct ascending column", got, mean)
+}
+
+// TestMeanResponsibilitiesOrderFree shuffles a duplicated column 200 times:
+// the result may not move by a bit.
+func TestMeanResponsibilitiesOrderFree(t *testing.T) {
+	m, col := kernelModelAndColumn(t)
+	want, err := m.MeanResponsibilities(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(75))
+	for s := 0; s < 200; s++ {
+		rng.Shuffle(len(col), func(a, b int) { col[a], col[b] = col[b], col[a] })
+		got, err := m.MeanResponsibilities(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, fmt.Sprintf("shuffle %d", s), got, want)
+	}
+}
+
+// TestMeanResponsibilitiesNaNPoisons pins the non-finite contract: a NaN
+// anywhere in the column is its own run and makes every entry NaN.
+func TestMeanResponsibilitiesNaNPoisons(t *testing.T) {
+	m, _ := kernelModelAndColumn(t)
+	for _, col := range [][]float64{
+		{math.NaN()},
+		{1, 2, math.NaN(), 2},
+		{math.NaN(), math.NaN(), 1},
+	} {
+		got, err := m.MeanResponsibilities(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range got {
+			if !math.IsNaN(v) {
+				t.Errorf("%v: component %d = %v, want NaN", col, j, v)
+			}
 		}
 	}
 }

@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"github.com/gem-embeddings/gem/internal/table"
@@ -81,5 +88,61 @@ func BenchmarkServeThroughput(b *testing.B) {
 			}
 			i++
 		}
+	})
+}
+
+// benchBody renders a request body of cols columns × n values, rounded to
+// two decimals like catalog traffic.
+func benchBody(single bool, cols, n int) []byte {
+	var b bytes.Buffer
+	if single {
+		b.WriteString(`{"k":10,"column":`)
+	} else {
+		b.WriteString(`{"columns":[`)
+	}
+	for c := 0; c < cols; c++ {
+		if c > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"col_%d","values":[`, c)
+		for i, v := range benchColumn("", n, int64(c)).Values {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.FormatFloat(math.Round(v*100)/100, 'f', -1, 64))
+		}
+		b.WriteString("]}")
+	}
+	if !single {
+		b.WriteByte(']')
+	}
+	b.WriteByte('}')
+	return b.Bytes()
+}
+
+// BenchmarkDecodeColumns measures decodeBody — the wire half of a cache
+// miss — on a 100-value /search body and a 64 × 1000-value /embed body:
+// MB/s of request text and allocations per body.
+func BenchmarkDecodeColumns(b *testing.B) {
+	s := newTestServer(b, 0, Config{})
+	w := httptest.NewRecorder()
+	run := func(name string, body []byte, decode func(r *http.Request) bool) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !decode(&http.Request{Body: io.NopCloser(bytes.NewReader(body))}) {
+					b.Fatalf("body rejected: %s", w.Body)
+				}
+			}
+		})
+	}
+	run("search-1x100", benchBody(true, 1, 100), func(r *http.Request) bool {
+		var req searchRequest
+		return s.decodeBody(w, r, &req) && len(req.Column.Values) == 100
+	})
+	run("embed-64x1000", benchBody(false, 64, 1000), func(r *http.Request) bool {
+		var req embedRequest
+		return s.decodeBody(w, r, &req) && len(req.Columns) == 64 && len(req.Columns[63].Values) == 1000
 	})
 }

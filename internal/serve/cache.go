@@ -26,13 +26,21 @@ func keyFor(fingerprint, name string, col table.Column) cacheKey {
 	h.Write([]byte{0})
 	h.Write([]byte(name))
 	h.Write([]byte{0})
-	var buf [8]byte
+	// The length prefix and the value bits reach the hash through a block
+	// buffer — the same bytes in the same order as one 8-byte Write per
+	// value, at a fraction of the calls.
+	var buf [512]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(len(col.Values)))
-	h.Write(buf[:])
+	n := 8
 	for _, v := range col.Values {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
+		n += 8
 	}
+	h.Write(buf[:n])
 	var k cacheKey
 	h.Sum(k[:0])
 	return k

@@ -1,6 +1,12 @@
 package serve
 
-import "testing"
+import (
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"github.com/gem-embeddings/gem/internal/table"
+)
 
 func k(b byte) cacheKey {
 	var key cacheKey
@@ -63,5 +69,33 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	if c.len() != 0 {
 		t.Fatal("disabled cache has entries")
+	}
+}
+
+// TestKeyForPinned pins content keys computed before keyFor hashed through a
+// block buffer: the keys are persisted in catalog stores, so the bytes fed
+// to SHA-256 — and their order — must never move. The 63- and 65-value
+// columns sit either side of the 64-value block boundary.
+func TestKeyForPinned(t *testing.T) {
+	ramp := func(n int) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(i)*0.25 - 3
+		}
+		return vs
+	}
+	for _, tc := range []struct {
+		label, name string
+		values      []float64
+		want        string
+	}{
+		{"empty name", "", []float64{1.5, math.Copysign(0, -1), 2e300}, "b954efd811a60f92fe3e5047ddf1f40f1c1e4a792faa5ce24b6c7826a2388db8"},
+		{"63 values", "price", ramp(63), "2f29b3b6b54b4111ba58c932b8cbf31bd88ba8da242a67c92a5a3d265547b628"},
+		{"65 values", "price", ramp(65), "219f0c97f522ce7c28eec738da1fda728381dcd2555cd46c4b82ff97a23ba93c"},
+	} {
+		got := keyFor("fp-pinned", tc.name, table.Column{Name: "ignored", Values: tc.values})
+		if hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("%s: key %x, want %s", tc.label, got, tc.want)
+		}
 	}
 }

@@ -85,9 +85,20 @@ func TestHTTPErrorContract(t *testing.T) {
 		{"columns without an index", plain, http.MethodGet, "/columns", "", http.StatusNotImplemented},
 		{"remove of unknown ref", indexed, http.MethodDelete, "/columns/ghost", "", http.StatusNotFound},
 		{"negative k", indexed, http.MethodPost, "/search", `{"column":{"name":"x","values":[1,2]},"k":-1}`, http.StatusBadRequest},
+		{"non-number value", plain, http.MethodPost, "/embed", `{"columns":[{"name":"x","values":[1,"2"]}]}`, http.StatusBadRequest},
+		{"overflowing value", plain, http.MethodPost, "/embed", `{"columns":[{"name":"x","values":[1e999]}]}`, http.StatusBadRequest},
+		{"garbage after /embed body", plain, http.MethodPost, "/embed", embedBody + ` trailing garbage`, http.StatusBadRequest},
+		{"second value after /embed body", plain, http.MethodPost, "/embed", embedBody + `{}`, http.StatusBadRequest},
+		{"garbage after /search body", indexed, http.MethodPost, "/search", searchBody + `]`, http.StatusBadRequest},
+		{"garbage after /columns body", indexed, http.MethodPost, "/columns", `{"columns":[{"name":"x","values":[1,2]}]} x`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		checkJSONError(t, c.name, do(t, c.method, c.base.URL+c.path, c.body), c.wantCode)
+	}
+	// A rejected /columns body enrolled nothing, and whitespace after a body
+	// is still a body.
+	if code, body := post(t, indexed.URL+"/search", searchBody+" \r\n\t"); code != http.StatusOK || !strings.Contains(string(body), `"results": []`) {
+		t.Errorf("search with trailing whitespace on an empty catalog: status %d: %s", code, body)
 	}
 }
 

@@ -34,6 +34,10 @@ type serveMetrics struct {
 	batches     *obs.Counter
 	batchCols   *obs.Counter
 	embedErrors *obs.Counter
+	// embedValues / embedDistinct: what missed columns held and what their
+	// signatures cost (a signature evaluates each distinct value once).
+	embedValues   *obs.Counter
+	embedDistinct *obs.Counter
 
 	stageCacheLookup *obs.Histogram
 	stageBatchWait   *obs.Histogram
@@ -74,6 +78,8 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		batches:          reg.Counter("gem_batches_total", "Coalesced signature batches processed.", nil),
 		batchCols:        reg.Counter("gem_batch_columns_total", "Distinct columns embedded across batches.", nil),
 		embedErrors:      reg.Counter("gem_embed_errors_total", "Columns that failed to embed.", nil),
+		embedValues:      reg.Counter("gem_embed_values_total", "Values of the columns embedded on cache misses.", nil),
+		embedDistinct:    reg.Counter("gem_embed_distinct_values_total", "Distinct values of the columns embedded on cache misses: the mixture kernel runs once per distinct value, so this over gem_embed_values_total is the share of the per-value cost paid.", nil),
 		stageCacheLookup: stage("cache_lookup"),
 		stageBatchWait:   stage("batch_wait"),
 		stageSignatures:  stage("signatures"),

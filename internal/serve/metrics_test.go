@@ -115,6 +115,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	post(t, ts.URL+"/embed", embedBody)
 	post(t, ts.URL+"/embed", embedBody)
+	post(t, ts.URL+"/embed", `{"columns":[{"name":"levels","values":[1,1,1,2,2,3]}]}`)
 	if code, body := post(t, ts.URL+"/search", searchBody); code != http.StatusOK {
 		t.Fatalf("search: status %d: %s", code, body)
 	}
@@ -137,10 +138,10 @@ func TestMetricsExposition(t *testing.T) {
 	exp := string(raw)
 
 	for prefix, min := range map[string]float64{
-		`gem_http_requests_total{endpoint="/embed"}`:          2,
+		`gem_http_requests_total{endpoint="/embed"}`:          3,
 		`gem_http_requests_total{endpoint="/search"}`:         1,
 		`gem_http_requests_total{endpoint="/columns"}`:        1,
-		`gem_http_request_seconds_count{endpoint="/embed"}`:   2,
+		`gem_http_request_seconds_count{endpoint="/embed"}`:   3,
 		`gem_cache_hits_total`:                                1,
 		`gem_cache_misses_total`:                              1,
 		`gem_batches_total`:                                   1,
@@ -161,6 +162,15 @@ func TestMetricsExposition(t *testing.T) {
 		if got := metricValue(t, exp, prefix); got < min {
 			t.Errorf("%s = %v, want >= %v", prefix, got, min)
 		}
+	}
+	// The miss path counts what it was handed and what its signatures
+	// evaluated: 8 × 3 added values, 12 embedded, 6 searched — all distinct
+	// within their columns — and the six-value, three-level column; the
+	// cached re-embed counts nothing.
+	values := metricValue(t, exp, "gem_embed_values_total")
+	distinct := metricValue(t, exp, "gem_embed_distinct_values_total")
+	if values != 48 || distinct != 45 {
+		t.Errorf("gem_embed_values_total = %v, gem_embed_distinct_values_total = %v, want 48 and 45", values, distinct)
 	}
 	// A histogram family must expose cumulative buckets ending in +Inf.
 	if !strings.Contains(exp, `gem_http_request_seconds_bucket{endpoint="/embed",le="+Inf"}`) {

@@ -550,6 +550,12 @@ func (s *Server) process(batch []*job) {
 		for _, j := range batch {
 			j.spans.add("signatures", sigD)
 		}
+		for i, j := range uniq {
+			if sigErrs[i] == nil {
+				s.met.embedValues.Add(int64(len(j.col.values)))
+				s.met.embedDistinct.Add(int64(sigs[i].Distinct))
+			}
+		}
 	}
 
 	for i, j := range uniq {

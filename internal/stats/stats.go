@@ -190,11 +190,22 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return math.NaN(), ErrEmpty
 	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile for a sample that is already ascending (as
+// sort.Float64s leaves it, NaNs first): no copy, no sort, so a caller that
+// needs several percentiles — or already holds the sorted sample for another
+// reason — pays for the order once.
+func PercentileSorted(sorted []float64, p float64) (float64, error) {
+	if len(sorted) == 0 {
+		return math.NaN(), ErrEmpty
+	}
 	if p < 0 || p > 100 || math.IsNaN(p) {
 		return math.NaN(), fmt.Errorf("stats: percentile %v outside [0, 100]", p)
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0], nil
 	}
@@ -215,16 +226,28 @@ func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 // of xs discretized into bins equal-width bins across [min, max]. A constant
 // sample has zero entropy. bins must be positive.
 func Entropy(xs []float64, bins int) (float64, error) {
+	lo, _ := Min(xs)
+	hi, _ := Max(xs)
+	return EntropyBetween(xs, lo, hi, bins)
+}
+
+// EntropyBetween is Entropy for a caller that already knows the sample's
+// extremes lo = Min(xs) and hi = Max(xs). Up to 64 bins are counted on the
+// stack.
+func EntropyBetween(xs []float64, lo, hi float64, bins int) (float64, error) {
 	if len(xs) == 0 {
 		return math.NaN(), ErrEmpty
 	}
 	if bins <= 0 {
 		return math.NaN(), fmt.Errorf("stats: entropy needs bins > 0, got %d", bins)
 	}
-	counts, err := Histogram(xs, bins)
-	if err != nil {
-		return math.NaN(), err
+	var stack [64]int
+	counts := stack[:]
+	if bins > len(stack) {
+		counts = make([]int, bins)
 	}
+	counts = counts[:bins]
+	fillHistogram(counts, xs, lo, hi)
 	n := float64(len(xs))
 	var h float64
 	for _, c := range counts {
@@ -250,9 +273,17 @@ func Histogram(xs []float64, bins int) ([]int, error) {
 	lo, _ := Min(xs)
 	hi, _ := Max(xs)
 	counts := make([]int, bins)
+	fillHistogram(counts, xs, lo, hi)
+	return counts, nil
+}
+
+// fillHistogram adds xs to the zeroed counts: len(counts) equal-width bins
+// spanning [lo, hi], top edge inclusive.
+func fillHistogram(counts []int, xs []float64, lo, hi float64) {
+	bins := len(counts)
 	if lo == hi {
 		counts[0] = len(xs)
-		return counts, nil
+		return
 	}
 	w := (hi - lo) / float64(bins)
 	for _, x := range xs {
@@ -265,7 +296,6 @@ func Histogram(xs []float64, bins int) ([]int, error) {
 		}
 		counts[idx]++
 	}
-	return counts, nil
 }
 
 // ECDF returns the empirical CDF of xs evaluated at x:
