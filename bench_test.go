@@ -13,7 +13,9 @@ package gem
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
+	"time"
 
 	"github.com/gem-embeddings/gem/internal/ann"
 	"github.com/gem-embeddings/gem/internal/baselines"
@@ -547,6 +549,48 @@ func BenchmarkSearch(b *testing.B) {
 		}
 		b.ReportMetric(recall, "recall@10")
 	})
+}
+
+// BenchmarkConstructionBeam is the sweep behind HNSWConfig.EfConstruction's
+// default (0 below = 3·M): build cost per vector and recall@10 at the default
+// search beam and at a stressed one, per construction beam, over Gem
+// embeddings plain and with a 600-copy duplicate clump (see
+// TestDefaultConstructionBeamRecall, which holds the default to these
+// numbers at 8192) — at 8192 columns and, unless -short, at 131072 (minutes;
+// run by hand when the default is questioned).
+func BenchmarkConstructionBeam(b *testing.B) {
+	sizes := []int{8192}
+	if !testing.Short() {
+		sizes = append(sizes, 131072)
+	}
+	for _, n := range sizes {
+		vecs, queries := gemVectors(b, n)
+		clumped, clumpQueries := clumpCorpus(vecs)
+		for _, corpus := range []struct {
+			name          string
+			vecs, queries [][]float64
+		}{{"plain", vecs, queries}, {"clump", clumped, clumpQueries}} {
+			exact := exactTop10(b, corpus.vecs, corpus.queries)
+			for _, efc := range []int{16, 32, 0, 64, 100, 200} {
+				beam := strconv.Itoa(efc)
+				if efc == 0 {
+					beam = "default"
+				}
+				b.Run(fmt.Sprintf("n=%d/%s/efc=%s", n, corpus.name, beam), func(b *testing.B) {
+					var h *ann.HNSW
+					var build time.Duration
+					for i := 0; i < b.N; i++ {
+						var took time.Duration
+						h, took = buildBeam(b, corpus.vecs, efc)
+						build += took
+					}
+					b.ReportMetric(build.Seconds()*1e6/float64(b.N*len(corpus.vecs)), "µs/vector")
+					b.ReportMetric(recallAt10(b, h, corpus.queries, exact, 100), "recall@10")
+					b.ReportMetric(recallAt10(b, h, corpus.queries, exact, 32), "recall@10/ef32")
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkCosineMatrix measures the pairwise similarity matrix over 500

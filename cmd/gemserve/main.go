@@ -79,7 +79,6 @@ type cliConfig struct {
 	metricSpec   string
 	precSpec     string
 	maxBatch     int
-	batchWindow  time.Duration
 	cacheSize    int
 	shards       int
 	proxy        string
@@ -120,7 +119,6 @@ func main() {
 	flag.StringVar(&cfg.metricSpec, "metric", "cosine", "index distance: cosine|l2")
 	flag.StringVar(&cfg.precSpec, "precision", "float64", "index scan precision: float64|float32|int8 (reduced tiers re-rank exactly)")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 0, "max columns per coalesced signature pass (0 = default 64)")
-	flag.DurationVar(&cfg.batchWindow, "batch-window", 0, "how long a batch waits to coalesce (0 = default 200µs)")
 	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "column-embedding cache entries (0 = default 4096, negative disables)")
 	flag.IntVar(&cfg.shards, "shards", 1, "split the search catalog into N consistent-hashed shards (requires -search or -catalog; /search answers are byte-identical to -shards 1)")
 	flag.StringVar(&cfg.proxy, "proxy", "", "comma-separated shard-server URLs; serve a scatter-gather /search front door instead of a model")
@@ -314,7 +312,6 @@ func buildServer(cfg cliConfig, w io.Writer) (srv *serve.Server, cleanup func(),
 	}
 	scfg := serve.Config{
 		MaxBatch:      cfg.maxBatch,
-		BatchWindow:   cfg.batchWindow,
 		CacheSize:     cfg.cacheSize,
 		CompactEvery:  cfg.compactEvery,
 		MaxBodyBytes:  cfg.maxBodyBytes,

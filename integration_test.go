@@ -3,13 +3,18 @@ package gem
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
+	"github.com/gem-embeddings/gem/internal/ann"
 	"github.com/gem-embeddings/gem/internal/baselines"
 	"github.com/gem-embeddings/gem/internal/core"
 	"github.com/gem-embeddings/gem/internal/data"
 	"github.com/gem-embeddings/gem/internal/deepcluster"
 	"github.com/gem-embeddings/gem/internal/eval"
+	"github.com/gem-embeddings/gem/internal/pool"
+	"github.com/gem-embeddings/gem/internal/stats"
 	"github.com/gem-embeddings/gem/internal/table"
 )
 
@@ -187,6 +192,162 @@ func TestPipelineBaselineComparison(t *testing.T) {
 		}
 		if ap > gemAP {
 			t.Errorf("%s (%v) beat Gem (%v) on GitTables", m.Name(), ap, gemAP)
+		}
+	}
+}
+
+// gemVectors returns what a gemserve catalog holds: a model fitted on 2048
+// ScalabilityDataset columns embeds n further columns and 256 held-out query
+// columns one by one against its frozen moments, each brought to unit norm.
+func gemVectors(tb testing.TB, n int) (vecs, queries [][]float64) {
+	tb.Helper()
+	e, err := core.NewEmbedder(core.Config{Components: 50, Restarts: 1, Seed: 1, SubsampleStack: 8000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Fit(data.ScalabilityDataset(2048, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	embed := func(ds *table.Dataset) [][]float64 {
+		sigs, err := e.Signatures(ds)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out := make([][]float64, len(sigs))
+		for i, sig := range sigs {
+			row, err := e.EmbedSignature(sig)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out[i] = stats.L2Normalize(row)
+		}
+		return out
+	}
+	queries = embed(data.ScalabilityDataset(256, 2))
+	// 8192 columns per generated dataset bounds the raw values held at once.
+	for seed := int64(3); len(vecs) < n; seed++ {
+		vecs = append(vecs, embed(data.ScalabilityDataset(min(n-len(vecs), 8192), seed))...)
+	}
+	return vecs, queries
+}
+
+// clumpCorpus returns vecs with 600 evenly spread entries replaced by exact
+// copies of the first — one column ingested 600 times — and 256 queries
+// halfway between that clump and other columns, where an answer has to hold
+// both some of the copies and the columns beyond them.
+func clumpCorpus(vecs [][]float64) (clumped, queries [][]float64) {
+	const copies, nq = 600, 256
+	clumped = slices.Clone(vecs)
+	dup := vecs[0]
+	isDup := make([]bool, len(vecs))
+	for i := 0; i < copies; i++ {
+		at := i * len(vecs) / copies
+		clumped[at], isDup[at] = dup, true
+	}
+	for j := 0; j < nq; j++ {
+		at := j * len(vecs) / nq
+		for isDup[at] {
+			at++
+		}
+		mid := make([]float64, len(dup))
+		for d := range mid {
+			mid[d] = (dup[d] + vecs[at][d]) / 2
+		}
+		queries = append(queries, stats.L2Normalize(mid))
+	}
+	return clumped, queries
+}
+
+// exactTop10 is the brute-force answer the recall numbers are taken against.
+func exactTop10(tb testing.TB, vecs, queries [][]float64) [][]ann.Result {
+	tb.Helper()
+	flat := ann.NewFlat(ann.Cosine)
+	if err := flat.Add(vecs...); err != nil {
+		tb.Fatal(err)
+	}
+	exact, err := flat.SearchBatch(queries, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return exact
+}
+
+// buildBeam builds an HNSW over vecs at construction beam efc (0 = default)
+// and times the build.
+func buildBeam(tb testing.TB, vecs [][]float64, efc int) (*ann.HNSW, time.Duration) {
+	tb.Helper()
+	h, err := ann.NewHNSW(ann.HNSWConfig{Metric: ann.Cosine, Seed: 1, EfConstruction: efc}, pool.New(0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	start := time.Now()
+	if err := h.Add(vecs...); err != nil {
+		tb.Fatal(err)
+	}
+	return h, time.Since(start)
+}
+
+// recallAt10 is h's recall@10 at search beam efSearch by distance multiset:
+// the share of the exact top-10 distances the graph also returned, each
+// counted once. Ids would punish a tie (any of 600 equal copies is as right
+// as another); counting every returned distance that occurs in the exact
+// answer would forgive a result that repeats one copy's distance.
+func recallAt10(tb testing.TB, h *ann.HNSW, queries [][]float64, exact [][]ann.Result, efSearch int) float64 {
+	tb.Helper()
+	h.SetEfSearch(efSearch)
+	got, err := h.SearchBatch(queries, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hit, total := 0, 0
+	for q := range exact {
+		total += len(exact[q])
+		for i, j := 0, 0; i < len(exact[q]) && j < len(got[q]); {
+			switch a, b := exact[q][i].Dist, got[q][j].Dist; {
+			case a == b:
+				hit++
+				i++
+				j++
+			case a < b:
+				i++
+			default:
+				j++
+			}
+		}
+	}
+	return float64(hit) / float64(total)
+}
+
+// TestDefaultConstructionBeamRecall holds HNSWConfig.EfConstruction's default
+// (0 below) to the rule it was chosen by — HNSW paper §4: take the narrowest
+// beam that builds as good a graph as a wide one. On 8192 Gem embeddings its
+// graph must answer within 0.001 of the better of the 100- and 200-wide
+// graphs at the default search beam and within 0.01 at a stressed beam of 32.
+//
+// The duplicate-clump corpus is not held to the rule: recall beside 600 exact
+// copies is 0.42–0.85 depending on the level seed at every beam, so a bound
+// there would pin one seed's noise (BenchmarkConstructionBeam prints it).
+func TestDefaultConstructionBeamRecall(t *testing.T) {
+	vecs, queries := gemVectors(t, 8192)
+	exact := exactTop10(t, vecs, queries)
+	recall := map[int][2]float64{}
+	for _, efc := range []int{0, 100, 200} {
+		h, _ := buildBeam(t, vecs, efc)
+		recall[efc] = [2]float64{
+			recallAt10(t, h, queries, exact, 100),
+			recallAt10(t, h, queries, exact, 32),
+		}
+		t.Logf("construction beam %d: recall@10 %.4f at EfSearch 100, %.4f at 32",
+			h.Config().EfConstruction, recall[efc][0], recall[efc][1])
+	}
+	for i, rule := range []struct {
+		efSearch int
+		tol      float64
+	}{{100, 0.001}, {32, 0.01}} {
+		wide := max(recall[100][i], recall[200][i])
+		if got := recall[0][i]; got < wide-rule.tol {
+			t.Errorf("EfSearch %d: recall@10 %.4f at the default construction beam, %.4f at the better of 100 and 200 (tolerance %g)",
+				rule.efSearch, got, wide, rule.tol)
 		}
 	}
 }

@@ -150,8 +150,18 @@ func TestHNSWConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := h.Config()
-	if cfg.M != 16 || cfg.EfConstruction != 200 || cfg.EfSearch != 100 || cfg.BatchSize != 64 {
+	if cfg.M != 16 || cfg.EfConstruction != 48 || cfg.EfSearch != 100 || cfg.BatchSize != 64 {
 		t.Errorf("defaults = %+v", cfg)
+	}
+	// The default beam follows M; an explicit one is kept.
+	for _, c := range []struct{ m, efc, want int }{{4, 0, 12}, {32, 0, 96}, {16, 200, 200}, {32, 20, 20}} {
+		h, err := NewHNSW(HNSWConfig{M: c.m, EfConstruction: c.efc}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Config().EfConstruction; got != c.want {
+			t.Errorf("M=%d EfConstruction=%d: effective beam %d, want %d", c.m, c.efc, got, c.want)
+		}
 	}
 }
 

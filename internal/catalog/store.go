@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 )
@@ -93,6 +94,21 @@ type loadedDir struct {
 	jnlVer  int   // journal format version (when jnlOK)
 }
 
+// IdentityDiff drops the leading '|'-separated fields two store bindings
+// share, so a mismatch message shows where they part ("…|hnsw:m=16,efc=200,…"
+// against "…|hnsw:m=16,efc=48,…") where equal-length prefixes of both would
+// print the same model digest twice.
+func IdentityDiff(a, b string) (string, string) {
+	shared := ""
+	for {
+		i := strings.IndexByte(a, '|')
+		if i < 0 || !strings.HasPrefix(b, a[:i+1]) {
+			return shared + a, shared + b
+		}
+		a, b, shared = a[i+1:], b[i+1:], "…|"
+	}
+}
+
 // loadDir reads and reconciles a store directory's snapshot and journal.
 // fingerprint is the caller's expected embedder binding ("" accepts any);
 // mismatches between caller, snapshot and journal are errors. A stale
@@ -110,7 +126,8 @@ func loadDir(dir, fingerprint string) (*loadedDir, error) {
 			return nil
 		}
 		if ld.fp != fp {
-			return fmt.Errorf("%w: store belongs to embedder %.12s…, opened for %.12s… — was the model refitted? re-embed into a fresh store directory", ErrInput, fp, ld.fp)
+			have, want := IdentityDiff(fp, ld.fp)
+			return fmt.Errorf("%w: store belongs to embedder %s, opened for %s — was the model refitted or the index reconfigured? re-embed into a fresh store directory", ErrInput, have, want)
 		}
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -322,6 +323,42 @@ func TestStoreFingerprintBinding(t *testing.T) {
 	defer r.Close()
 	if r.Fingerprint() != "fp-A" {
 		t.Fatalf("adopted fingerprint %q", r.Fingerprint())
+	}
+}
+
+// TestIdentityDiff: a binding mismatch is reported from the first field that
+// differs, not by two equal prefixes.
+func TestIdentityDiff(t *testing.T) {
+	const fpA = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	const fpB = "fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210"
+	for _, tc := range []struct{ a, b, wantA, wantB string }{
+		{fpA + "|metric=cosine|prec=float64|hnsw:m=16,efc=200,seed=0,batch=64",
+			fpA + "|metric=cosine|prec=float64|hnsw:m=16,efc=48,seed=0,batch=64",
+			"…|hnsw:m=16,efc=200,seed=0,batch=64", "…|hnsw:m=16,efc=48,seed=0,batch=64"},
+		{fpA + "|metric=cosine", fpB + "|metric=cosine", fpA + "|metric=cosine", fpB + "|metric=cosine"},
+		{fpA + "|metric=cosine|prec=float64", fpA + "|metric=l2|prec=float64|shard=0/2",
+			"…|metric=cosine|prec=float64", "…|metric=l2|prec=float64|shard=0/2"},
+		{"fp-A", "fp-B", "fp-A", "fp-B"},
+	} {
+		gotA, gotB := IdentityDiff(tc.a, tc.b)
+		if gotA != tc.wantA || gotB != tc.wantB {
+			t.Errorf("IdentityDiff(%q, %q) = %q, %q; want %q, %q", tc.a, tc.b, gotA, gotB, tc.wantA, tc.wantB)
+		}
+	}
+
+	// The mismatch Open reports is that diff.
+	dir := t.TempDir()
+	s, err := Open(dir, fpA+"|hnsw:m=16,efc=200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, s, add(ent(1, "a", 1, 2)))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, fpA+"|hnsw:m=16,efc=48")
+	if !errors.Is(err, ErrInput) || !strings.Contains(err.Error(), "efc=200") || !strings.Contains(err.Error(), "efc=48") {
+		t.Errorf("reconfigured-index open: %v; want ErrInput naming efc=200 and efc=48", err)
 	}
 }
 

@@ -16,8 +16,13 @@ import (
 const (
 	// maxRecallDrop is the tolerated decrease in any recall@k metric.
 	maxRecallDrop = 0.05
-	// maxHitRateDelta is the tolerated absolute change in a serve cache
-	// hit rate (hit rates are near-deterministic given the workload).
+	// maxHitRateDelta is the tolerated fall of a serve cache hit rate
+	// below the baseline, and its tolerated excess over the stream's
+	// duplicate fraction. The baseline is the floor of the workload (every
+	// duplicate in flight beside its first copy misses with it) and a run
+	// reads above it by however many duplicates arrived after their first
+	// copy was cached, which is timing; but only a duplicate can hit, so a
+	// rate above the duplicate fraction is a false hit whatever the timing.
 	maxHitRateDelta = 0.1
 	// minQPSRatio is the floor on fresh/baseline throughput.
 	minQPSRatio = 1.0 / 8
@@ -181,8 +186,11 @@ func compareServe(base, got *ServeReport) []string {
 			v = append(v, fmt.Sprintf("serve point dup=%.2f missing from fresh report", bp.DupFraction))
 			continue
 		}
-		if d := gp.HitRate - bp.HitRate; d < -maxHitRateDelta || d > maxHitRateDelta {
-			v = append(v, fmt.Sprintf("serve dup=%.2f hit rate moved %.3f -> %.3f (tolerance %.2f)", bp.DupFraction, bp.HitRate, gp.HitRate, maxHitRateDelta))
+		if gp.HitRate < bp.HitRate-maxHitRateDelta {
+			v = append(v, fmt.Sprintf("serve dup=%.2f hit rate fell %.3f -> %.3f (tolerance %.2f)", bp.DupFraction, bp.HitRate, gp.HitRate, maxHitRateDelta))
+		}
+		if gp.HitRate > bp.DupFraction+maxHitRateDelta {
+			v = append(v, fmt.Sprintf("serve dup=%.2f hit rate %.3f exceeds the stream's duplicate fraction (tolerance %.2f)", bp.DupFraction, gp.HitRate, maxHitRateDelta))
 		}
 		v = append(v, checkQPS(fmt.Sprintf("serve dup=%.2f", bp.DupFraction), bp.QPS, gp.QPS)...)
 	}

@@ -48,7 +48,10 @@ func TestCompareBenchReports(t *testing.T) {
 		{"tier-missing", func(b *BenchReport) { b.Search.Tiers = b.Search.Tiers[:1] }, `tier "float32" missing`},
 		{"search-missing", func(b *BenchReport) { b.Search = nil }, "search section missing"},
 		{"serve-missing", func(b *BenchReport) { b.Serve = nil }, "serve section missing"},
-		{"hit-rate-moved", func(b *BenchReport) { b.Serve.Points[1].HitRate = 0.1 }, "hit rate moved"},
+		{"hit-rate-moved", func(b *BenchReport) { b.Serve.Points[1].HitRate = 0.1 }, "hit rate fell"},
+		{"hit-rate-rose-within-dup", func(b *BenchReport) { b.Serve.Points[1].HitRate = 0.58 }, ""},
+		{"hit-rate-above-dup", func(b *BenchReport) { b.Serve.Points[1].HitRate = 0.9 }, "exceeds the stream's duplicate fraction"},
+		{"hit-rate-above-dup-zero", func(b *BenchReport) { b.Serve.Points[0].HitRate = 0.5 }, "serve dup=0.00 hit rate 0.500 exceeds"},
 		{"serve-point-missing", func(b *BenchReport) { b.Serve.Points = b.Serve.Points[:1] }, "serve point dup=0.50 missing"},
 		{"serve-qps-collapse", func(b *BenchReport) { b.Serve.Points[0].QPS = 10 }, "serve dup=0.00 collapsed"},
 	} {

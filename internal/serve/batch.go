@@ -35,11 +35,11 @@ func (j *job) finish(vec []float64, err error) {
 }
 
 // batcher coalesces concurrently arriving jobs into batches: the dispatcher
-// takes the first pending job, then keeps collecting until either maxBatch
-// jobs are in hand or window has elapsed since the batch opened. Under a
-// single client batches degenerate to size 1 (no added latency beyond the
-// window); under concurrent clients the queue drains in large strides, each
-// stride paying for one pooled signature pass.
+// takes the first pending job plus whatever is already queued behind it, up
+// to maxBatch, and never waits for more. A lone request is embedded at once;
+// under concurrent clients the jobs that arrive while one batch runs form
+// the next, so the queue drains in large strides, each stride paying for one
+// pooled signature pass.
 type batcher struct {
 	jobs     chan *job
 	quit     chan struct{}
@@ -51,16 +51,14 @@ type batcher struct {
 	// drain and leave its submitter waiting forever.
 	mu       sync.RWMutex
 	closed   bool
-	window   time.Duration
 	maxBatch int
 }
 
-func newBatcher(queueDepth, maxBatch int, window time.Duration) *batcher {
+func newBatcher(queueDepth, maxBatch int) *batcher {
 	return &batcher{
 		jobs:     make(chan *job, queueDepth),
 		quit:     make(chan struct{}),
 		finished: make(chan struct{}),
-		window:   window,
 		maxBatch: maxBatch,
 	}
 }
@@ -98,33 +96,15 @@ func (b *batcher) run(process func([]*job)) {
 	}
 }
 
-// collect gathers up to maxBatch jobs, waiting at most window after the
-// first. A non-positive window skips the timer and takes only what is
-// already queued.
+// collect gathers first and the jobs already queued behind it, up to
+// maxBatch, in queue order.
 func (b *batcher) collect(first *job) []*job {
 	batch := []*job{first}
-	if b.window <= 0 {
-		for len(batch) < b.maxBatch {
-			select {
-			case j := <-b.jobs:
-				batch = append(batch, j)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
 	for len(batch) < b.maxBatch {
 		select {
 		case j := <-b.jobs:
 			batch = append(batch, j)
-		case <-timer.C:
-			return batch
-		case <-b.quit:
-			// Shutting down: process what is in hand, run's drain handles
-			// the rest.
+		default:
 			return batch
 		}
 	}

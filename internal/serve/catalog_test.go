@@ -454,6 +454,36 @@ func TestCatalogConfigValidation(t *testing.T) {
 			t.Fatalf("reconfigured index accepted: %v", err)
 		}
 	})
+	t.Run("older-default-beam", func(t *testing.T) {
+		// A store written when the default construction beam was 200 is
+		// refused by a server on today's default, and the message shows the
+		// parameter that differs rather than the shared model digest twice.
+		old, err := ann.NewHNSW(ann.HNSWConfig{EfConstruction: 200}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := catalog.Open(t.TempDir(), StoreIdentity(fp, old))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		cur, err := ann.NewHNSW(ann.HNSWConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(emb, Config{Store: st, Index: cur})
+		if !errors.Is(err, ErrInput) {
+			t.Fatalf("store from the 200-wide default accepted: %v", err)
+		}
+		for _, want := range []string{"…|hnsw:m=16,efc=200,", "…|hnsw:m=16,efc=48,"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not show %q", err, want)
+			}
+		}
+		if strings.Contains(err.Error(), fp[:12]) {
+			t.Errorf("error %q repeats the model digest both sides share", err)
+		}
+	})
 }
 
 // TestCatalogHTTPLifecycle drives the /columns API end to end: list, add,

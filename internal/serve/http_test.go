@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/gem-embeddings/gem/internal/ann"
 )
@@ -54,7 +53,7 @@ func TestHTTPEmbedByteIdentical(t *testing.T) {
 		t.Errorf("cached response differs from cold:\n%s\n%s", cold, cached)
 	}
 
-	ts2 := httpServer(t, 8, Config{MaxBatch: 32, BatchWindow: 2 * time.Millisecond})
+	ts2 := httpServer(t, 8, Config{MaxBatch: 32})
 	// Concurrent identical posts coalesce in one batch on the second
 	// server; every byte must still match the first server's cold answer.
 	var wg sync.WaitGroup

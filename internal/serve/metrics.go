@@ -49,6 +49,9 @@ type serveMetrics struct {
 	stageMerge       *obs.Histogram
 
 	searchBatchSize *obs.Histogram
+	// lockWait: how long a search waited for the shared index lock — zero
+	// unless a catalog mutation (above all a compaction's rebuild) held it.
+	lockWait *obs.Histogram
 
 	compactSeconds *obs.Histogram
 	replaySeconds  *obs.Gauge
@@ -89,6 +92,9 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		stageMerge:       searchStage("merge"),
 		searchBatchSize: reg.Histogram("gem_search_batch_size",
 			"Queries answered per /search request.", nil, batchSizeBuckets()),
+		lockWait: reg.Histogram("gem_index_lock_wait_seconds",
+			"How long a search waited for the shared index lock, i.e. the reader stall behind a catalog mutation or compaction holding it exclusively.",
+			nil, obs.DefBuckets()),
 		compactSeconds: reg.Histogram("gem_catalog_compact_seconds",
 			"Wall-clock of one catalog compaction (store fold + index rebuild), spent under the index write lock.",
 			nil, obs.DefBuckets()),

@@ -153,6 +153,7 @@ func TestMetricsExposition(t *testing.T) {
 		`gem_search_stage_seconds_count{stage="merge"}`:       1,
 		`gem_search_shard_seconds_count{shard="0"}`:           1,
 		`gem_search_shard_seconds_count{shard="1"}`:           1,
+		`gem_index_lock_wait_seconds_count`:                   1,
 		`gem_catalog_live_columns`:                            8,
 		`gem_catalog_compact_seconds_count`:                   1,
 		`gem_catalog_replay_seconds`:                          0,

@@ -85,12 +85,9 @@ var ErrNotFound = errors.New("serve: column not found")
 // Config parametrizes a Server.
 type Config struct {
 	// MaxBatch caps how many cache-missed columns one coalesced signature
-	// pass embeds. Default 64.
+	// pass embeds: the first queued miss plus whatever is queued behind it
+	// (the dispatcher never waits for more). Default 64.
 	MaxBatch int
-	// BatchWindow is how long the dispatcher waits after a batch opens for
-	// more columns to coalesce. Default 200µs; negative disables waiting
-	// (each pass takes only what is already queued).
-	BatchWindow time.Duration
 	// CacheSize bounds the column-embedding LRU cache. Default 4096;
 	// negative disables caching.
 	CacheSize int
@@ -147,9 +144,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
@@ -236,7 +230,7 @@ func New(e *core.Embedder, cfg Config) (*Server, error) {
 		nameInKey: e.Config().Features.Has(core.Contextual),
 		cfg:       cfg,
 		cache:     newCache(cfg.CacheSize),
-		b:         newBatcher(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow),
+		b:         newBatcher(cfg.QueueDepth, cfg.MaxBatch),
 		//lint:gemallow detnondet start stamp feeds only uptime telemetry
 		start: time.Now(),
 		lat:   newLatencyRing(cfg.LatencyWindow),
@@ -349,9 +343,10 @@ func (s *Server) replayCatalog() error {
 	for i := 0; i < n; i++ {
 		st := s.cat.Store(i)
 		want := StoreIdentityShard(s.fp, s.cat.Index(i), i, n)
-		if st.Fingerprint() != "" && st.Fingerprint() != want {
-			return fmt.Errorf("%w: store belongs to embedder+index %.24s…, server runs %.24s… — was the model refitted or the index reconfigured? use a fresh store directory",
-				ErrInput, st.Fingerprint(), want)
+		if have := st.Fingerprint(); have != "" && have != want {
+			stored, served := catalog.IdentityDiff(have, want)
+			return fmt.Errorf("%w: store belongs to embedder+index %s, server runs %s — was the model refitted or the index reconfigured? use a fresh store directory",
+				ErrInput, stored, served)
 		}
 		if d := st.Dim(); d != 0 && d != s.dim {
 			return fmt.Errorf("%w: store holds vectors of dim %d, embedder serves dim %d", ErrInput, d, s.dim)
@@ -867,11 +862,16 @@ func (s *Server) SearchBatch(ctx context.Context, cols []table.Column, k int) ([
 		qs[i] = q
 		qKeys[i] = catalog.Key(s.key(cols[i]))
 	}
+	if s.trace {
+		t0 = time.Now()
+	}
 	s.idxMu.RLock()
 	defer s.idxMu.RUnlock()
 	s.met.searchBatchSize.Observe(float64(len(cols)))
 	if s.trace {
-		t0 = time.Now()
+		now := time.Now()
+		s.met.lockWait.Observe(now.Sub(t0).Seconds())
+		t0 = now
 	}
 	// k+1 covers each query's own indexed copy being among its nearest.
 	res, err := s.cat.SearchBatch(qs, k+1)

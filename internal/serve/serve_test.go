@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/gem-embeddings/gem/internal/ann"
 	"github.com/gem-embeddings/gem/internal/core"
@@ -101,8 +101,8 @@ func TestServeDeterministicAcrossPaths(t *testing.T) {
 		cfg     Config
 	}{
 		{"serial batch-of-1", 1, Config{MaxBatch: 1}},
-		{"parallel small batches", 4, Config{MaxBatch: 3, BatchWindow: time.Millisecond}},
-		{"parallel wide batches no cache", 8, Config{MaxBatch: 64, BatchWindow: 2 * time.Millisecond, CacheSize: -1}},
+		{"parallel small batches", 4, Config{MaxBatch: 3}},
+		{"parallel wide batches no cache", 8, Config{MaxBatch: 64, CacheSize: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.workers, tc.cfg)
@@ -193,28 +193,105 @@ func TestServeCacheHitsAndEviction(t *testing.T) {
 	}
 }
 
+// queuedBatcher returns a batcher with n jobs named j0..j(n-1) already in
+// its queue and the dispatcher not yet started.
+func queuedBatcher(t *testing.T, n, maxBatch int) (*batcher, []*job) {
+	t.Helper()
+	b := newBatcher(n, maxBatch)
+	jobs := make([]*job, n)
+	for i := range jobs {
+		jobs[i] = &job{col: columnWork{name: fmt.Sprintf("j%d", i)}, done: make(chan struct{})}
+		if err := b.submit(context.Background(), jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b, jobs
+}
+
+// TestServeCoalescing: the dispatcher takes the first job plus what is
+// already queued behind it, up to MaxBatch, in queue order, and waits for
+// nothing — so with the jobs queued before it starts the batches are exact,
+// and a lone job is a batch of one.
 func TestServeCoalescing(t *testing.T) {
-	// A generous window plus concurrent one-column requests must produce at
-	// least one multi-column batch.
-	s := newTestServer(t, 4, Config{MaxBatch: 16, BatchWindow: 20 * time.Millisecond})
-	ds := testCatalog()
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.Embed(context.Background(), ds.Columns[i:i+1]); err != nil {
-				t.Error(err)
+	for _, tc := range []struct {
+		n, maxBatch int
+		want        []int
+	}{
+		{1, 16, []int{1}},
+		{12, 16, []int{12}},
+		{16, 16, []int{16}},
+		{12, 5, []int{5, 5, 2}},
+		{3, 1, []int{1, 1, 1}},
+	} {
+		b, jobs := queuedBatcher(t, tc.n, tc.maxBatch)
+		var sizes []int
+		var order []string
+		go b.run(func(batch []*job) {
+			sizes = append(sizes, len(batch))
+			for _, j := range batch {
+				order = append(order, j.col.name)
+				j.finish(nil, nil)
 			}
-		}(i)
+		})
+		for _, j := range jobs {
+			<-j.done
+		}
+		b.close() // waits for the dispatcher: sizes and order are settled
+		if !slices.Equal(sizes, tc.want) {
+			t.Errorf("%d queued jobs at MaxBatch %d ran as batches %v, want %v", tc.n, tc.maxBatch, sizes, tc.want)
+		}
+		for i, name := range order {
+			if want := fmt.Sprintf("j%d", i); name != want {
+				t.Errorf("%d jobs at MaxBatch %d: position %d ran %s, want %s", tc.n, tc.maxBatch, i, name, want)
+				break
+			}
+		}
 	}
-	wg.Wait()
-	st := s.Stats()
-	if st.MaxBatch < 2 {
-		t.Errorf("no coalescing observed: max batch %d over %d batches", st.MaxBatch, st.Batches)
+}
+
+// TestBatcherCloseWhileQueued: closing while jobs wait in the queue releases
+// every waiter — the batches the dispatcher still reached are embedded, the
+// rest fail with ErrClosed, in queue order, and later submits are refused.
+func TestBatcherCloseWhileQueued(t *testing.T) {
+	const n = 64
+	b, jobs := queuedBatcher(t, n, 1)
+	started, release := make(chan struct{}), make(chan struct{})
+	go b.run(func(batch []*job) {
+		if batch[0] == jobs[0] {
+			close(started)
+			<-release
+		}
+		batch[0].finish(nil, nil)
+	})
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		b.close()
+		close(closed)
+	}()
+	<-b.quit // close has begun; the dispatcher is still inside the first batch
+	if err := b.submit(context.Background(), &job{done: make(chan struct{})}); !errors.Is(err, ErrClosed) {
+		t.Errorf("submit after close: got %v, want ErrClosed", err)
 	}
-	if st.Batches >= 12 {
-		t.Errorf("12 concurrent misses took %d batches, expected coalescing", st.Batches)
+	close(release)
+	<-closed
+	// The dispatcher picks between the queue and the quit signal at random
+	// once both are ready, so how many more jobs it embeds varies — but not
+	// all 63 of them (2^-63), never out of order, and nobody is left waiting.
+	failed := 0
+	for i, j := range jobs {
+		<-j.done
+		switch {
+		case errors.Is(j.err, ErrClosed):
+			failed++
+		case j.err != nil:
+			t.Errorf("job %d: %v", i, j.err)
+		case failed > 0:
+			t.Errorf("job %d was embedded after an earlier queued job had been failed", i)
+		}
+	}
+	if failed == 0 || jobs[0].err != nil {
+		t.Errorf("%d of %d queued jobs failed with ErrClosed (first job err %v); want the first embedded and the tail failed", failed, n, jobs[0].err)
 	}
 }
 
@@ -222,7 +299,7 @@ func TestServeCoalescing(t *testing.T) {
 // traffic; run under -race this is the race-cleanliness acceptance. Every
 // response must equal the reference regardless of interleaving.
 func TestServeConcurrentHammer(t *testing.T) {
-	s := newTestServer(t, 4, Config{MaxBatch: 8, BatchWindow: 500 * time.Microsecond, CacheSize: 16})
+	s := newTestServer(t, 4, Config{MaxBatch: 8, CacheSize: 16})
 	ds := testCatalog()
 	pool := ds.Columns[:10]
 	ref := fittedEmbedder(t, 2)
