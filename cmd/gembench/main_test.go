@@ -21,7 +21,7 @@ func tinyOpts() experiments.Options {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := run(&buf, "bogus", tinyOpts(), 1, nil, experiments.LoadOptions{})
+	err := run(&buf, "bogus", tinyOpts(), 1)
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("want unknown-experiment error, got %v", err)
 	}
@@ -29,7 +29,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunTable1(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, "table1", tinyOpts(), 1, nil, experiments.LoadOptions{}); err != nil {
+	if err := run(&buf, "table1", tinyOpts(), 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -42,7 +42,7 @@ func TestRunTable1(t *testing.T) {
 
 func TestRunTable2(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, "table2", tinyOpts(), 1, nil, experiments.LoadOptions{}); err != nil {
+	if err := run(&buf, "table2", tinyOpts(), 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -55,7 +55,7 @@ func TestRunTable2(t *testing.T) {
 
 func TestRunFig3(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, "fig3", tinyOpts(), 1, nil, experiments.LoadOptions{}); err != nil {
+	if err := run(&buf, "fig3", tinyOpts(), 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -64,122 +64,23 @@ func TestRunFig3(t *testing.T) {
 	}
 }
 
-func TestRunServe(t *testing.T) {
+// TestRunCommaList: a comma-separated experiment list runs each entry, and a
+// list with an unknown entry fails loudly instead of half-running.
+func TestRunCommaList(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, "serve", tinyOpts(), 1, nil, experiments.LoadOptions{}); err != nil {
+	if err := run(&buf, "table1,fig3", tinyOpts(), 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"serve eval", "qps", "mean batch"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunLoad(t *testing.T) {
-	var buf bytes.Buffer
-	lo := experiments.LoadOptions{Columns: 40, Ops: 120, Clients: 4, Shards: 2}
-	report, err := run(&buf, "load", tinyOpts(), 1, nil, lo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"load eval", "2 shards", "closed loop", "p99"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if report.Load == nil || report.Load.QPS <= 0 || report.Load.Shards != 2 {
-		t.Errorf("load report not filled: %+v", report.Load)
-	}
-	if report.Load.Searches+report.Load.Adds+report.Load.Removes != 120 {
-		t.Errorf("load op counts: %+v", report.Load)
-	}
-}
-
-func TestRunSearch(t *testing.T) {
-	var buf bytes.Buffer
-	report, err := run(&buf, "search", tinyOpts(), 1, nil, experiments.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"ANN search", "recall@10", "hnsw build", "[float64]", "[float32]", "[int8]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if got := len(report.Search.Tiers); got != 3 {
-		t.Errorf("default sweep produced %d tiers, want 3", got)
-	}
-}
-
-// TestRunSearchPrecisionSubset: -precision restricts the sweep.
-func TestRunSearchPrecisionSubset(t *testing.T) {
-	precs, err := parsePrecisions("f32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	report, err := run(&buf, "search", tinyOpts(), 1, precs, experiments.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Search.Tiers) != 1 || report.Search.Tiers[0].Precision != "float32" {
-		t.Errorf("tiers = %+v, want single float32", report.Search.Tiers)
-	}
-	if strings.Contains(buf.String(), "[int8]") {
-		t.Error("restricted sweep still ran the int8 tier")
-	}
-}
-
-func TestParsePrecisions(t *testing.T) {
-	if got, err := parsePrecisions(""); err != nil || got != nil {
-		t.Errorf("empty spec: %v, %v", got, err)
-	}
-	got, err := parsePrecisions("float64, int8")
-	if err != nil || len(got) != 2 {
-		t.Fatalf("parse: %v, %v", got, err)
-	}
-	if _, err := parsePrecisions("float64,bogus"); err == nil {
-		t.Error("bogus precision: want error")
-	}
-}
-
-// TestRunCommaListAndReport: a comma-separated experiment list runs each
-// entry once and fills the machine-readable report for search and serve.
-func TestRunCommaListAndReport(t *testing.T) {
-	var buf bytes.Buffer
-	report, err := run(&buf, "search,serve", tinyOpts(), 1, nil, experiments.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "ANN search") || !strings.Contains(out, "serve eval") {
+	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "Figure 3") {
 		t.Errorf("list run missing an experiment:\n%s", out)
 	}
-	if report.Schema != experiments.BenchSchemaVersion {
-		t.Errorf("schema %d", report.Schema)
-	}
-	if report.Search == nil || report.Search.RecallAtK <= 0 || report.Search.FlatQPS <= 0 {
-		t.Errorf("search report not filled: %+v", report.Search)
-	}
-	if report.Serve == nil || len(report.Serve.Points) == 0 || report.Serve.Points[0].QPS <= 0 {
-		t.Errorf("serve report not filled: %+v", report.Serve)
-	}
-	var js bytes.Buffer
-	if err := report.Write(&js); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"recall_at_k"`, `"hnsw_qps"`, `"latency_p99_ms"`, `"schema": 5`} {
-		if !strings.Contains(js.String(), want) {
-			t.Errorf("JSON report missing %s:\n%s", want, js.String())
-		}
-	}
-	// A list with an unknown entry fails loudly instead of half-running.
-	if _, err := run(&buf, "search,bogus", tinyOpts(), 1, nil, experiments.LoadOptions{}); err == nil ||
+	buf.Reset()
+	if err := run(&buf, "table1,bogus", tinyOpts(), 1); err == nil ||
 		!strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("unknown entry in list: got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected list still ran an experiment:\n%s", buf.String())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,13 +200,11 @@ func TestPipelineBaselineComparison(t *testing.T) {
 // gemVectors returns what a gemserve catalog holds: a model fitted on 2048
 // ScalabilityDataset columns embeds n further columns and 256 held-out query
 // columns one by one against its frozen moments, each brought to unit norm.
+// The model is fitted once per test binary and shared by every caller.
 func gemVectors(tb testing.TB, n int) (vecs, queries [][]float64) {
 	tb.Helper()
-	e, err := core.NewEmbedder(core.Config{Components: 50, Restarts: 1, Seed: 1, SubsampleStack: 8000})
+	e, err := gemModel()
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := e.Fit(data.ScalabilityDataset(2048, 1)); err != nil {
 		tb.Fatal(err)
 	}
 	embed := func(ds *table.Dataset) [][]float64 {
@@ -230,6 +229,14 @@ func gemVectors(tb testing.TB, n int) (vecs, queries [][]float64) {
 	}
 	return vecs, queries
 }
+
+var gemModel = sync.OnceValues(func() (*core.Embedder, error) {
+	e, err := core.NewEmbedder(core.Config{Components: 50, Restarts: 1, Seed: 1, SubsampleStack: 8000})
+	if err != nil {
+		return nil, err
+	}
+	return e, e.Fit(data.ScalabilityDataset(2048, 1))
+})
 
 // clumpCorpus returns vecs with 600 evenly spread entries replaced by exact
 // copies of the first — one column ingested 600 times — and 256 queries
@@ -348,6 +355,32 @@ func TestDefaultConstructionBeamRecall(t *testing.T) {
 		if got := recall[0][i]; got < wide-rule.tol {
 			t.Errorf("EfSearch %d: recall@10 %.4f at the default construction beam, %.4f at the better of 100 and 200 (tolerance %g)",
 				rule.efSearch, got, wide, rule.tol)
+		}
+	}
+}
+
+// TestSearchIndexDeterministicAcrossWorkers pins HNSW construction on real
+// Gem vectors: the graph built over a 1000-column catalog embedding is
+// byte-identical for worker counts 1, 2 and 8.
+func TestSearchIndexDeterministicAcrossWorkers(t *testing.T) {
+	vecs, _ := gemVectors(t, 1000)
+	var ref []byte
+	for _, workers := range []int{1, 2, 8} {
+		h, err := ann.NewHNSW(ann.HNSWConfig{Metric: ann.Cosine, Seed: 1}, pool.New(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Add(vecs...); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := h.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = buf.Bytes()
+		} else if !bytes.Equal(ref, buf.Bytes()) {
+			t.Fatalf("workers=%d built a different index over the catalog embedding", workers)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // TestHNSWRecallVsFlat pins the quality bar of the approximate index: on
 // 1000 clustered vectors, recall@10 against the exact scan must reach 0.95
-// under both metrics (the ISSUE's acceptance threshold; the embedding-space
-// version of this check lives in internal/experiments).
+// under both metrics (the embedding-space version of this check is the root
+// package's TestDefaultConstructionBeamRecall).
 func TestHNSWRecallVsFlat(t *testing.T) {
 	const (
 		n, dim, k = 1000, 24, 10

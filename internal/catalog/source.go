@@ -1,9 +1,9 @@
 package catalog
 
 // The ingest layer: one Source interface behind every way a catalog of
-// columns enters the system. cmd/gemembed, cmd/gemsearch, cmd/gemserve and
-// cmd/gembench all resolve their flags through Spec instead of carrying
-// private copies of the CSV/synthetic dispatch.
+// columns enters the system. cmd/gemembed, cmd/gemsearch and cmd/gemserve
+// resolve their flags through Spec instead of carrying private copies of the
+// CSV/synthetic dispatch.
 
 import (
 	"fmt"

@@ -1,9 +1,9 @@
-// Package experiments reproduces every table and figure of the paper's
-// evaluation (§4) end to end: it generates the benchmark corpora, runs Gem
+// Package experiments reproduces the paper's evaluation (§4): Tables 1–4
+// and Figures 3–5, end to end. It generates the benchmark corpora, runs Gem
 // and all baselines, computes the paper's metrics, and renders paper-style
-// text tables. cmd/gembench and the repository-level benchmarks are thin
-// wrappers around this package; EXPERIMENTS.md records paper-vs-measured
-// numbers produced by it.
+// text tables and plot-ready CSV. cmd/gembench and the repository-level
+// benchmarks are thin wrappers around this package. recall.go holds the one
+// recall@k replay shared by cmd/gemsearch and the similarity-search example.
 package experiments
 
 import (

@@ -183,18 +183,23 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 	first := append(make([]float64, 0, d), points[rng.Intn(len(points))]...)
 	centroids = append(centroids, first)
 
+	// dists[i] is point i's squared distance to its nearest chosen centroid,
+	// kept as a running minimum: each pick compares every point against the
+	// newest centroid only, O(n·K·d) in all. A minimum over the same floats
+	// does not depend on the order they arrive in, so the picks are the ones
+	// a full rescan against every centroid would make.
 	dists := make([]float64, len(points))
+	for i := range dists {
+		dists[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		var total float64
 		for i, p := range points {
-			dd := math.Inf(1)
-			for _, c := range centroids {
-				if v := sqDist(p, c); v < dd {
-					dd = v
-				}
+			if v := sqDist(p, newest); v < dists[i] {
+				dists[i] = v
 			}
-			dists[i] = dd
-			total += dd
+			total += dists[i]
 		}
 		var idx int
 		if total == 0 {

@@ -212,3 +212,95 @@ func TestAssign(t *testing.T) {
 		t.Errorf("dim mismatch: want ErrInput, got %v", err)
 	}
 }
+
+// seedPlusPlusRef is the k-means++ seeding as first written: every pick
+// rescans each point against every chosen centroid, O(n·K²·d). It is the
+// reference seedPlusPlus's running minimum must match bit for bit.
+func seedPlusPlusRef(points [][]float64, k int, rng *rand.Rand) [][]float64 {
+	d := len(points[0])
+	centroids := make([][]float64, 0, k)
+	first := append(make([]float64, 0, d), points[rng.Intn(len(points))]...)
+	centroids = append(centroids, first)
+
+	dists := make([]float64, len(points))
+	for len(centroids) < k {
+		var total float64
+		for i, p := range points {
+			dd := math.Inf(1)
+			for _, c := range centroids {
+				if v := sqDist(p, c); v < dd {
+					dd = v
+				}
+			}
+			dists[i] = dd
+			total += dd
+		}
+		var idx int
+		if total == 0 {
+			idx = rng.Intn(len(points))
+		} else {
+			target := rng.Float64() * total
+			var cum float64
+			for i, dd := range dists {
+				cum += dd
+				if cum >= target {
+					idx = i
+					break
+				}
+			}
+		}
+		centroids = append(centroids, append(make([]float64, 0, d), points[idx]...))
+	}
+	return centroids
+}
+
+// TestSeedPlusPlusMatchesReference pins the running-minimum seeding to the
+// full rescan: identical centroids and an identical random stream afterwards,
+// over seeds, K values and inputs that include duplicate points and the
+// all-coincident (total == 0) branch.
+func TestSeedPlusPlusMatchesReference(t *testing.T) {
+	blobs, _ := twoBlobs(60, 3)
+	dupes := make([][]float64, 0, 90)
+	for i := 0; i < 90; i++ {
+		dupes = append(dupes, []float64{float64(i % 4), float64(i % 3), 1})
+	}
+	wide := make([][]float64, 200)
+	grng := rand.New(rand.NewSource(9))
+	for i := range wide {
+		wide[i] = make([]float64, 7)
+		for j := range wide[i] {
+			wide[i][j] = grng.NormFloat64() * float64(j+1)
+		}
+	}
+	inputs := map[string][][]float64{
+		"blobs":     blobs,
+		"dupes":     dupes,
+		"identical": {{4, 4}, {4, 4}, {4, 4}, {4, 4}, {4, 4}},
+		"wide":      wide,
+	}
+	for name, pts := range inputs {
+		for _, k := range []int{1, 2, 3, 5, 12, 40} {
+			if k > len(pts) {
+				continue
+			}
+			for seed := int64(0); seed < 8; seed++ {
+				ra := rand.New(rand.NewSource(seed))
+				rb := rand.New(rand.NewSource(seed))
+				got, want := seedPlusPlus(pts, k, ra), seedPlusPlusRef(pts, k, rb)
+				if len(got) != len(want) {
+					t.Fatalf("%s k=%d seed=%d: %d centroids, want %d", name, k, seed, len(got), len(want))
+				}
+				for c := range want {
+					for j := range want[c] {
+						if math.Float64bits(got[c][j]) != math.Float64bits(want[c][j]) {
+							t.Fatalf("%s k=%d seed=%d: centroid %d = %v, want %v", name, k, seed, c, got[c], want[c])
+						}
+					}
+				}
+				if a, b := ra.Int63(), rb.Int63(); a != b {
+					t.Fatalf("%s k=%d seed=%d: random stream diverged after seeding", name, k, seed)
+				}
+			}
+		}
+	}
+}

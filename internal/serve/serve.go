@@ -409,6 +409,9 @@ func (s *Server) Embed(ctx context.Context, cols []table.Column) ([][]float64, e
 		j    *job
 	}
 	spans := spansFrom(ctx)
+	// Spans print in first-recorded order and the dispatcher may record its
+	// stages before the lookup total below, so cache_lookup is registered now.
+	spans.add("cache_lookup", 0)
 	var lookup time.Duration
 	var waits []pending
 	for i, col := range cols {
