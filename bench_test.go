@@ -552,8 +552,8 @@ func BenchmarkSearch(b *testing.B) {
 }
 
 // BenchmarkConstructionBeam is the sweep behind HNSWConfig.EfConstruction's
-// default (0 below = 3·M): build cost per vector and recall@10 at the default
-// search beam and at a stressed one, per construction beam, over Gem
+// default (0 below = 3·M): build cost per vector and recall@10 at search
+// beams 100 and 32, per construction beam, over Gem
 // embeddings plain and with a 600-copy duplicate clump (see
 // TestDefaultConstructionBeamRecall, which holds the default to these
 // numbers at 8192) — at 8192 columns and, unless -short, at 131072 (minutes;
@@ -587,6 +587,46 @@ func BenchmarkConstructionBeam(b *testing.B) {
 					b.ReportMetric(build.Seconds()*1e6/float64(b.N*len(corpus.vecs)), "µs/vector")
 					b.ReportMetric(recallAt10(b, h, corpus.queries, exact, 100), "recall@10")
 					b.ReportMetric(recallAt10(b, h, corpus.queries, exact, 32), "recall@10/ef32")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkSearchBeam is the sweep behind HNSWConfig.EfSearch's default
+// (2·M): recall@10 and wall-clock µs per query of a 256-query SearchBatch on
+// the build pool, per search beam, over a default-built graph of Gem
+// embeddings — clean, with 2048 tombstones (removed without a Rebuild, the
+// exact answer taken over the live vectors), and with the 600-copy duplicate
+// clump (see TestDefaultSearchBeamRecall, which holds the default to the
+// first two at 8192) — at 8192 columns and, unless -short, at 131072
+// (minutes; run by hand when the default is questioned).
+func BenchmarkSearchBeam(b *testing.B) {
+	sizes := []int{8192}
+	if !testing.Short() {
+		sizes = append(sizes, 131072)
+	}
+	for _, n := range sizes {
+		vecs, queries := gemVectors(b, n)
+		clumped, clumpQueries := clumpCorpus(vecs)
+		for _, corpus := range []struct {
+			name          string
+			vecs, queries [][]float64
+			tombstones    int
+		}{{"clean", vecs, queries, 0}, {"tombstoned", vecs, queries, 2048}, {"clump", clumped, clumpQueries, 0}} {
+			h, _ := buildBeam(b, corpus.vecs, 0)
+			exact := exactTop10(b, tombstone(b, h, corpus.vecs, corpus.tombstones), corpus.queries)
+			for _, ef := range []int{10, 16, 24, 32, 48, 64, 100} {
+				b.Run(fmt.Sprintf("n=%d/%s/ef=%d", n, corpus.name, ef), func(b *testing.B) {
+					recall := recallAt10(b, h, corpus.queries, exact, ef)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := h.SearchBatch(corpus.queries, 10); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(corpus.queries)), "µs/query")
+					b.ReportMetric(recall, "recall@10")
 				})
 			}
 		}

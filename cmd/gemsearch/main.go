@@ -92,7 +92,7 @@ func main() {
 	flag.StringVar(&cfg.precSpec, "precision", "float64", "index scan precision: float64|float32|int8 (reduced tiers re-rank exactly)")
 	flag.IntVar(&cfg.m, "m", 0, "HNSW M, max neighbours per layer (0 = default 16)")
 	flag.IntVar(&cfg.efc, "ef-construction", 0, "HNSW construction beam width (0 = default 3·M)")
-	flag.IntVar(&cfg.efs, "ef-search", 0, "HNSW search beam width (0 = default 100)")
+	flag.IntVar(&cfg.efs, "ef-search", 0, "HNSW search beam width (0 = default 2·M; a loaded -index-in keeps the beam it was saved with)")
 	flag.IntVar(&cfg.k, "k", 10, "neighbours to retrieve")
 	flag.StringVar(&cfg.query, "query", "", "query column: a header name, or @i for the i-th column")
 	flag.BoolVar(&cfg.recall, "recall", false, "replay every column as a query and report recall@k vs the exact baseline")

@@ -325,11 +325,31 @@ func recallAt10(tb testing.TB, h *ann.HNSW, queries [][]float64, exact [][]ann.R
 	return float64(hit) / float64(total)
 }
 
+// tombstone removes count ids spread evenly over h, which holds vecs under
+// ids 0..len(vecs)-1, without a Rebuild — the state a catalog's index is in
+// between compactions — and returns the vectors still live, the set an
+// exact answer is taken over.
+func tombstone(tb testing.TB, h *ann.HNSW, vecs [][]float64, count int) (live [][]float64) {
+	tb.Helper()
+	gone := make([]bool, len(vecs))
+	for i := 0; i < count; i++ {
+		gone[i*len(vecs)/count] = true
+	}
+	for id, v := range vecs {
+		if !gone[id] {
+			live = append(live, v)
+		} else if err := h.Remove(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return live
+}
+
 // TestDefaultConstructionBeamRecall holds HNSWConfig.EfConstruction's default
 // (0 below) to the rule it was chosen by — HNSW paper §4: take the narrowest
 // beam that builds as good a graph as a wide one. On 8192 Gem embeddings its
 // graph must answer within 0.001 of the better of the 100- and 200-wide
-// graphs at the default search beam and within 0.01 at a stressed beam of 32.
+// graphs at search beam 100 and within 0.01 at 32 (the default search beam).
 //
 // The duplicate-clump corpus is not held to the rule: recall beside 600 exact
 // copies is 0.42–0.85 depending on the level seed at every beam, so a bound
@@ -355,6 +375,30 @@ func TestDefaultConstructionBeamRecall(t *testing.T) {
 		if got := recall[0][i]; got < wide-rule.tol {
 			t.Errorf("EfSearch %d: recall@10 %.4f at the default construction beam, %.4f at the better of 100 and 200 (tolerance %g)",
 				rule.efSearch, got, wide, rule.tol)
+		}
+	}
+}
+
+// TestDefaultSearchBeamRecall holds HNSWConfig.EfSearch's default to the rule
+// EfConstruction's follows: the narrowest beam that answers like a wide one,
+// plus one step of margin. On 8192 Gem embeddings, at the default
+// construction beam, the default search beam must give recall@10 within
+// 0.001 of EfSearch 100's — on the clean index and with 256 and 2048
+// tombstones. The duplicate-clump corpus is not held to the rule, for the
+// reason TestDefaultConstructionBeamRecall gives (BenchmarkSearchBeam prints
+// it).
+func TestDefaultSearchBeamRecall(t *testing.T) {
+	vecs, queries := gemVectors(t, 8192)
+	for _, tombstones := range []int{0, 256, 2048} {
+		h, _ := buildBeam(t, vecs, 0)
+		beam := h.Config().EfSearch
+		exact := exactTop10(t, tombstone(t, h, vecs, tombstones), queries)
+		def := recallAt10(t, h, queries, exact, beam)
+		wide := recallAt10(t, h, queries, exact, 100)
+		t.Logf("%d tombstones: recall@10 %.4f at the default search beam %d, %.4f at 100", tombstones, def, beam, wide)
+		if def < wide-0.001 {
+			t.Errorf("%d tombstones: recall@10 %.4f at the default search beam %d, %.4f at 100 (tolerance 0.001)",
+				tombstones, def, beam, wide)
 		}
 	}
 }

@@ -60,33 +60,42 @@ type goldenCase struct {
 // commit before the sorted beam replaced it. They pin that the rewrite built
 // the same graph and returned the same answers; regenerate them only for a
 // change that is meant to alter the graph, and say why. The first six rows
-// were the default configuration when they were generated and name its beam
-// (200) now that the default is 3·M: unchanged hashes under an explicit 200
-// are the proof that only the default moved.
+// were generated under the defaults of the time, construction beam 200 and
+// search beam 100, and the default-beam row when construction became 3·M;
+// each now names the beams it was generated under, and unchanged hashes
+// under those explicit beams are the proof that only the defaults moved.
+// The graph hash covers the saved header, which records the search beam, so
+// the defaults row hashes differently from the default-beam row although
+// its graph is the same.
 var goldenCases = []goldenCase{
-	{"cosine/float64", HNSWConfig{Metric: Cosine, Seed: 9, EfConstruction: 200},
+	{"cosine/float64", HNSWConfig{Metric: Cosine, Seed: 9, EfConstruction: 200, EfSearch: 100},
 		"55c213fe233c96bbed8279a3470fbd88509f93b8e64dafd5a0a5a77209012247",
 		"558b9590cb93d294b7fae098e52e4c505fd90d364011912a0b0ace4a3592bca2"},
-	{"cosine/float32", HNSWConfig{Metric: Cosine, Seed: 9, EfConstruction: 200, Precision: Float32},
+	{"cosine/float32", HNSWConfig{Metric: Cosine, Seed: 9, EfConstruction: 200, EfSearch: 100, Precision: Float32},
 		"a96cd43de6cd047e7f5a5c74b321da8e885bff3fd98bbd7200d1ef4aa3ec9a2e",
 		"558b9590cb93d294b7fae098e52e4c505fd90d364011912a0b0ace4a3592bca2"},
-	{"cosine/int8", HNSWConfig{Metric: Cosine, Seed: 9, EfConstruction: 200, Precision: Int8},
+	{"cosine/int8", HNSWConfig{Metric: Cosine, Seed: 9, EfConstruction: 200, EfSearch: 100, Precision: Int8},
 		"c349a03c66e3d31df936ddf279eb712ec7c1fcc2cb488fc807600b690ca46494",
 		"f8d6b7b062767299feacf534f730f25b7e35bcb11d2a50cbd3a5232efc3aa6ce"},
-	{"euclidean/float64", HNSWConfig{Metric: Euclidean, Seed: 9, EfConstruction: 200},
+	{"euclidean/float64", HNSWConfig{Metric: Euclidean, Seed: 9, EfConstruction: 200, EfSearch: 100},
 		"42b88f402f26e90a5f86a43e919428134a2f1a899245bc593699781593be7146",
 		"a279035942fda9c6356b2c1580059bf0ae2b2c4071070765fd20ae70e450d489"},
-	{"euclidean/float32", HNSWConfig{Metric: Euclidean, Seed: 9, EfConstruction: 200, Precision: Float32},
+	{"euclidean/float32", HNSWConfig{Metric: Euclidean, Seed: 9, EfConstruction: 200, EfSearch: 100, Precision: Float32},
 		"ad6cd45bd919c10fb4ee26bd523452a5933129af24d40e63a02209fc9c219ff2",
 		"a279035942fda9c6356b2c1580059bf0ae2b2c4071070765fd20ae70e450d489"},
-	{"euclidean/int8", HNSWConfig{Metric: Euclidean, Seed: 9, EfConstruction: 200, Precision: Int8},
+	{"euclidean/int8", HNSWConfig{Metric: Euclidean, Seed: 9, EfConstruction: 200, EfSearch: 100, Precision: Int8},
 		"f283a9d045802fbc18f91fd0772909c5d37674164b6c1b9bee4561e98c1ddd06",
 		"ae160ee0c63db2b843f090f6fa8eae96e88b1c9d1f1ff7de2e407f279e5056c8"},
 	// The default beam (3·M = 48), generated when it became the default: a
 	// different graph, the same 16 000 answers as the 200-wide row.
-	{"cosine/float64/default-beam", HNSWConfig{Metric: Cosine, Seed: 9},
+	{"cosine/float64/default-beam", HNSWConfig{Metric: Cosine, Seed: 9, EfSearch: 100},
 		"a8c4ec01caa11a62c135d46209b9cd33f0bb1318a701103090677a4918e683d0",
 		"558b9590cb93d294b7fae098e52e4c505fd90d364011912a0b0ace4a3592bca2"},
+	// Both default beams (construction 3·M = 48, search 2·M = 32), generated
+	// when the search beam became 2·M.
+	{"cosine/float64/defaults", HNSWConfig{Metric: Cosine, Seed: 9},
+		"765c8e506c28b3d4bd7e85941f783f830680e902b9c6aaf46be1fe64dcc34d59",
+		"3b9ef65e8ee4dd16e62bc6da7a7283ee0b0b433a80ddb09994103c5d7fd03834"},
 	// Narrow graph: more layers (upper-layer beams fill, eps arrive ef wide)
 	// and degree pruning on most commits.
 	{"cosine/float64/m4", HNSWConfig{Metric: Cosine, Seed: 9, M: 4, EfConstruction: 40, EfSearch: 30, BatchSize: 16},

@@ -150,17 +150,20 @@ func TestHNSWConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := h.Config()
-	if cfg.M != 16 || cfg.EfConstruction != 48 || cfg.EfSearch != 100 || cfg.BatchSize != 64 {
+	if cfg.M != 16 || cfg.EfConstruction != 48 || cfg.EfSearch != 32 || cfg.BatchSize != 64 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	// The default beam follows M; an explicit one is kept.
-	for _, c := range []struct{ m, efc, want int }{{4, 0, 12}, {32, 0, 96}, {16, 200, 200}, {32, 20, 20}} {
-		h, err := NewHNSW(HNSWConfig{M: c.m, EfConstruction: c.efc}, nil)
+	// The default beams follow M; explicit ones are kept.
+	for _, c := range []struct{ m, efc, efs, wantEfc, wantEfs int }{
+		{4, 0, 0, 12, 8}, {32, 0, 0, 96, 64}, {16, 200, 100, 200, 100}, {32, 20, 10, 20, 10},
+	} {
+		h, err := NewHNSW(HNSWConfig{M: c.m, EfConstruction: c.efc, EfSearch: c.efs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.Config().EfConstruction; got != c.want {
-			t.Errorf("M=%d EfConstruction=%d: effective beam %d, want %d", c.m, c.efc, got, c.want)
+		if got := h.Config(); got.EfConstruction != c.wantEfc || got.EfSearch != c.wantEfs {
+			t.Errorf("M=%d EfConstruction=%d EfSearch=%d: effective beams %d / %d, want %d / %d",
+				c.m, c.efc, c.efs, got.EfConstruction, got.EfSearch, c.wantEfc, c.wantEfs)
 		}
 	}
 }

@@ -143,7 +143,10 @@ func TestReducedPrecisionRecall(t *testing.T) {
 	}
 	build := func(prec Precision, hnsw bool) Index {
 		if hnsw {
-			h, err := NewHNSW(HNSWConfig{Metric: Cosine, Seed: 9, Precision: prec}, pool.New(4))
+			// The floors measure the precision tiers on random 16-dim
+			// vectors, not the search beam, so the beam they were set at
+			// is pinned.
+			h, err := NewHNSW(HNSWConfig{Metric: Cosine, Seed: 9, EfSearch: 100, Precision: prec}, pool.New(4))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -154,6 +154,23 @@ func AveragePrecisionByType(embeddings [][]float64, labels []string) (float64, e
 // AveragePrecisionByTypeFromSim is AveragePrecisionByType for a precomputed
 // similarity matrix.
 func AveragePrecisionByTypeFromSim(sim [][]float64, labels []string) (float64, error) {
+	return macroAverage(sim, labels, func(pr PRResult) float64 { return pr.Precision })
+}
+
+// AverageRecallByType is the recall analogue of AveragePrecisionByType.
+func AverageRecallByType(embeddings [][]float64, labels []string) (float64, error) {
+	sim, err := CosineSimilarityMatrix(embeddings)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return macroAverage(sim, labels, func(pr PRResult) float64 { return pr.Recall })
+}
+
+// macroAverage averages score(PrecisionRecallAtK) within each semantic type
+// that has at least two columns, then across those types. Types are summed
+// in sorted-label order: a float sum depends on its order, and ranging over a
+// map would move the result's last bit from one call to the next.
+func macroAverage(sim [][]float64, labels []string, score func(PRResult) float64) (float64, error) {
 	if len(labels) != len(sim) {
 		return math.NaN(), fmt.Errorf("%w: %d labels for %d rows", ErrInput, len(labels), len(sim))
 	}
@@ -166,51 +183,25 @@ func AveragePrecisionByTypeFromSim(sim [][]float64, labels []string) (float64, e
 		if pr.K == 0 {
 			continue // singleton type: undefined, skip
 		}
-		perType[labels[i]] = append(perType[labels[i]], pr.Precision)
+		perType[labels[i]] = append(perType[labels[i]], score(pr))
 	}
 	if len(perType) == 0 {
 		return math.NaN(), fmt.Errorf("%w: no type with at least two columns", ErrInput)
 	}
+	types := make([]string, 0, len(perType))
+	for t := range perType {
+		types = append(types, t)
+	}
+	sort.Strings(types)
 	var total float64
-	for _, ps := range perType {
+	for _, t := range types {
 		var s float64
-		for _, p := range ps {
-			s += p
+		for _, v := range perType[t] {
+			s += v
 		}
-		total += s / float64(len(ps))
+		total += s / float64(len(perType[t]))
 	}
-	return total / float64(len(perType)), nil
-}
-
-// AverageRecallByType is the recall analogue of AveragePrecisionByType.
-func AverageRecallByType(embeddings [][]float64, labels []string) (float64, error) {
-	sim, err := CosineSimilarityMatrix(embeddings)
-	if err != nil {
-		return math.NaN(), err
-	}
-	perType := make(map[string][]float64)
-	for i := range sim {
-		pr, err := PrecisionRecallAtK(sim, labels, i)
-		if err != nil {
-			return math.NaN(), err
-		}
-		if pr.K == 0 {
-			continue
-		}
-		perType[labels[i]] = append(perType[labels[i]], pr.Recall)
-	}
-	if len(perType) == 0 {
-		return math.NaN(), fmt.Errorf("%w: no type with at least two columns", ErrInput)
-	}
-	var total float64
-	for _, rs := range perType {
-		var s float64
-		for _, r := range rs {
-			s += r
-		}
-		total += s / float64(len(rs))
-	}
-	return total / float64(len(perType)), nil
+	return total / float64(len(types)), nil
 }
 
 // ClusterACC returns clustering accuracy: the fraction of points whose

@@ -370,14 +370,6 @@ func (s *Server) Dim() int { return s.dim }
 // ErrClosed.
 func (s *Server) Close() { s.b.close() }
 
-// Embed returns one embedding row per column, in request order. Rows are
-// shared with the cache and must be treated as immutable. Cache-missed
-// values are snapshotted at submission, so the caller may reuse its
-// buffers as soon as the call returns — including after a context
-// cancellation that abandons in-flight jobs. The whole request fails on
-// the first malformed column (reported by name); columns are validated up
-// front so a bad one is rejected before it can enter — and poison — a
-// coalesced batch shared with other requests.
 // key content-addresses one column for this server.
 func (s *Server) key(col table.Column) cacheKey {
 	name := ""
@@ -387,23 +379,39 @@ func (s *Server) key(col table.Column) cacheKey {
 	return keyFor(s.fp, name, col)
 }
 
+// Embed returns one embedding row per column, in request order. Rows are
+// shared with the cache and must be treated as immutable. Cache-missed
+// values are snapshotted at submission, so the caller may reuse its
+// buffers as soon as the call returns — including after a context
+// cancellation that abandons in-flight jobs. The whole request fails on
+// the first malformed column (reported by name); columns are validated up
+// front so a bad one is rejected before it can enter — and poison — a
+// coalesced batch shared with other requests.
 func (s *Server) Embed(ctx context.Context, cols []table.Column) ([][]float64, error) {
+	out, _, err := s.embed(ctx, cols)
+	return out, err
+}
+
+// embed is Embed that also hands back each column's content key, so the
+// index paths reuse the hash the cache lookup already paid for.
+func (s *Server) embed(ctx context.Context, cols []table.Column) ([][]float64, []cacheKey, error) {
 	//lint:gemallow detnondet request timing feeds the latency ring, never the answer
 	start := time.Now()
 	if s.b.isClosed() {
 		// Checked up front so even fully cached requests honour the Close
 		// contract instead of quietly succeeding forever.
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if len(cols) == 0 {
-		return nil, fmt.Errorf("%w: no columns", ErrInput)
+		return nil, nil, fmt.Errorf("%w: no columns", ErrInput)
 	}
 	for _, col := range cols {
 		if err := validateColumn(col); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	out := make([][]float64, len(cols))
+	keys := make([]cacheKey, len(cols))
 	type pending struct {
 		slot int
 		j    *job
@@ -416,6 +424,7 @@ func (s *Server) Embed(ctx context.Context, cols []table.Column) ([][]float64, e
 	var waits []pending
 	for i, col := range cols {
 		key := s.key(col)
+		keys[i] = key
 		var t0 time.Time
 		if s.trace {
 			t0 = time.Now()
@@ -442,7 +451,7 @@ func (s *Server) Embed(ctx context.Context, cols []table.Column) ([][]float64, e
 			j.enqueued = time.Now()
 		}
 		if err := s.b.submit(ctx, j); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		waits = append(waits, pending{slot: i, j: j})
 	}
@@ -454,18 +463,18 @@ func (s *Server) Embed(ctx context.Context, cols []table.Column) ([][]float64, e
 		select {
 		case <-p.j.done:
 			if p.j.err != nil {
-				return nil, fmt.Errorf("serve: column %q: %w", cols[p.slot].Name, p.j.err)
+				return nil, nil, fmt.Errorf("serve: column %q: %w", cols[p.slot].Name, p.j.err)
 			}
 			out[p.slot] = p.j.vec
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
 	s.ctr.requests.Add(1)
 	s.ctr.columns.Add(int64(len(cols)))
 	//lint:gemallow detnondet request timing feeds the latency ring, never the answer
 	s.lat.record(time.Since(start).Seconds())
-	return out, nil
+	return out, keys, nil
 }
 
 // validateColumn enforces the request-isolation precondition.
@@ -681,7 +690,7 @@ func (s *Server) AddColumns(ctx context.Context, cols []table.Column) ([]int, er
 	if s.cat == nil {
 		return nil, ErrNoIndex
 	}
-	rows, err := s.Embed(ctx, cols)
+	rows, keys, err := s.embed(ctx, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +698,7 @@ func (s *Server) AddColumns(ctx context.Context, cols []table.Column) ([]int, er
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
 	for i, col := range cols {
-		id, err := s.catalogAdd(s.key(col), col.Name, rows[i])
+		id, err := s.catalogAdd(keys[i], col.Name, rows[i])
 		if err != nil {
 			return nil, fmt.Errorf("serve: indexing column %q: %w", col.Name, err)
 		}
@@ -846,7 +855,7 @@ func (s *Server) SearchBatch(ctx context.Context, cols []table.Column, k int) ([
 	if s.trace {
 		t0 = time.Now()
 	}
-	rows, err := s.Embed(ctx, cols)
+	rows, keys, err := s.embed(ctx, cols)
 	if s.trace {
 		d := time.Since(t0)
 		s.met.stageSearchEmbed.Observe(d.Seconds())
@@ -856,14 +865,12 @@ func (s *Server) SearchBatch(ctx context.Context, cols []table.Column, k int) ([
 		return nil, err
 	}
 	qs := make([][]float64, len(rows))
-	qKeys := make([]catalog.Key, len(cols))
 	for i, row := range rows {
 		q := row
 		if s.metric == ann.Cosine {
 			q = stats.L2Normalize(q)
 		}
 		qs[i] = q
-		qKeys[i] = catalog.Key(s.key(cols[i]))
 	}
 	if s.trace {
 		t0 = time.Now()
@@ -893,7 +900,7 @@ func (s *Server) SearchBatch(ctx context.Context, cols []table.Column, k int) ([
 	for i := range res {
 		hits := make([]Hit, 0, k)
 		for _, r := range res[i] {
-			if s.cat.Key(r.ID) == qKeys[i] {
+			if s.cat.Key(r.ID) == catalog.Key(keys[i]) {
 				continue
 			}
 			hits = append(hits, Hit{ID: r.ID, Name: s.cat.Name(r.ID), Dist: r.Dist})
