@@ -92,6 +92,20 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
+// SetMax raises the gauge to v when v exceeds its current value: a
+// high-water mark that concurrent callers cannot lower.
+func (g *Gauge) SetMax(v float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if v <= math.Float64frombits(old) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the current gauge value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -146,6 +160,37 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observations the
+// way Prometheus' histogram_quantile does: it finds the bucket holding
+// rank q·count and interpolates linearly between that bucket's lower bound
+// (0 for the first bucket) and its upper bound. A rank in the +Inf bucket
+// reports the highest finite bound; an empty (or nil) histogram reports 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil || len(h.bounds) == 0 {
+		return 0
+	}
+	cum := make([]int64, len(h.counts))
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+		cum[i] = n
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := math.Max(0, math.Min(1, q)) * float64(n)
+	// The first non-empty bucket whose cumulative count reaches the rank.
+	b := sort.Search(len(cum), func(i int) bool { return cum[i] > 0 && float64(cum[i]) >= rank })
+	if b == len(h.bounds) {
+		return h.bounds[b-1]
+	}
+	lo, below := 0.0, int64(0)
+	if b > 0 {
+		lo, below = h.bounds[b-1], cum[b-1]
+	}
+	return lo + (h.bounds[b]-lo)*(rank-float64(below))/float64(cum[b]-below)
 }
 
 // ExpBuckets returns n exponentially growing upper boundaries starting at

@@ -72,6 +72,83 @@ func TestHistogramSum(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile pins the histogram_quantile estimate on a
+// hand-built histogram: find the bucket holding rank q·count, interpolate
+// inside it from its lower bound (0 for the first bucket), and report the
+// highest finite bound for a rank in +Inf.
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", "", nil, []float64{1, 2, 4, 8})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Errorf("empty histogram: Quantile(0.5) = %v, want 0", got)
+	}
+	// Per-bucket counts 2, 4, 2, 1, +Inf 1; cumulative 2, 6, 8, 9, 10.
+	for _, v := range []float64{0.5, 0.5, 1.5, 1.5, 1.5, 1.5, 3, 3, 6, 100} {
+		h.Observe(v)
+	}
+	for _, tc := range []struct{ q, want float64 }{
+		{0, 0},        // first non-empty bucket's lower bound
+		{0.1, 0.5},    // rank 1 of 2 in (0, 1]
+		{0.5, 1.75},   // rank 5: 3 of 4 into (1, 2]
+		{0.8, 4},      // rank 8: the top of (2, 4]
+		{0.9, 8},      // rank 9: the single observation in (4, 8]
+		{0.95, 8},     // rank 9.5 is in +Inf: the highest finite bound
+		{1, 8},        // so is the maximum
+		{0.99, 8},     // and p99
+		{0.25, 1.125}, // rank 2.5: 0.5 of 4 into (1, 2]
+	} {
+		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+
+	one := r.Histogram("one", "", nil, []float64{1, 2, 4, 8})
+	one.Observe(3)
+	for _, tc := range []struct{ q, want float64 }{{0.5, 3}, {0.9, 3.8}, {0.99, 3.98}} {
+		if got := one.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("single observation: Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+
+	inf := r.Histogram("inf", "", nil, []float64{1, 2})
+	inf.Observe(50)
+	if got := inf.Quantile(0.5); got != 2 {
+		t.Errorf("+Inf only: Quantile(0.5) = %v, want 2", got)
+	}
+
+	var nilHist *Histogram
+	if got := nilHist.Quantile(0.5); got != 0 {
+		t.Errorf("nil histogram: Quantile(0.5) = %v, want 0", got)
+	}
+}
+
+// TestGaugeSetMaxConcurrent: racing SetMax calls (run under -race) leave
+// the largest value, and a smaller value never lowers the mark.
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	g := NewRegistry().Gauge("g", "", nil)
+	const workers, per = 16, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				g.SetMax(float64(w*per + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := g.Value(), float64(workers*per-1); got != want {
+		t.Fatalf("SetMax high-water mark = %v, want %v", got, want)
+	}
+	g.SetMax(3)
+	if got := g.Value(); got != workers*per-1 {
+		t.Fatalf("a smaller SetMax lowered the gauge to %v", got)
+	}
+	var nilGauge *Gauge
+	nilGauge.SetMax(1)
+}
+
 func TestExpBuckets(t *testing.T) {
 	got := ExpBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}

@@ -283,8 +283,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /columns/compact", s.handleCompact)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	if s.met.reg != nil {
-		mux.Handle("GET /metrics", s.met.reg.Handler())
+	if s.cfg.Metrics != nil {
+		mux.Handle("GET /metrics", s.cfg.Metrics.Handler())
 	}
 	return s.ins.wrap(mux)
 }

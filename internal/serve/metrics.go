@@ -1,8 +1,8 @@
 package serve
 
 // Metrics and request tracing for the HTTP layer. Everything here is
-// observational: instruments are obs package atomics (nil-safe no-ops when
-// metrics are off), span timings live in the request context and surface
+// observational: instruments are obs package atomics (nil-safe no-ops on a
+// proxy without metrics), span timings live in the request context and surface
 // only through /metrics and the slow-request log — never in a response
 // body, which is what keeps /embed and /search byte-identical with
 // instrumentation on or off.
@@ -23,17 +23,25 @@ import (
 	"github.com/gem-embeddings/gem/internal/obs"
 )
 
-// serveMetrics bundles the server's hot-path instruments. Built from a
-// possibly-nil registry: with metrics off every instrument is nil and every
-// operation no-ops, so call sites carry no flag checks.
+// serveMetrics bundles the server's instruments. They are always live —
+// on Config.Metrics, or on a private registry when that is nil — because
+// /stats reads its counters and latency percentiles from them: one
+// instrument per event, whichever endpoint reports it.
 type serveMetrics struct {
-	reg *obs.Registry
-
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	batches     *obs.Counter
 	batchCols   *obs.Counter
+	batchMax    *obs.Gauge
 	embedErrors *obs.Counter
+	// embedSeconds times each successful embed call: its count is the
+	// /stats request total, its quantiles the latency percentiles.
+	embedSeconds *obs.Histogram
+	embedColumns *obs.Counter
+	indexErrors  *obs.Counter
+	removes      *obs.Counter
+	compactions  *obs.Counter
+	storeErrors  *obs.Counter
 	// embedValues / embedDistinct: what missed columns held and what their
 	// signatures cost (a signature evaluates each distinct value once).
 	embedValues   *obs.Counter
@@ -63,6 +71,10 @@ func batchSizeBuckets() []float64 {
 	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 }
 
+// embedBuckets covers one embed call: 1 µs to ≈ 8 s in ×2 steps. A cache
+// hit is µs-scale, below DefBuckets' 100 µs floor.
+func embedBuckets() []float64 { return obs.ExpBuckets(1e-6, 2, 24) }
+
 func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("gem_embed_stage_seconds",
@@ -75,12 +87,20 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 			obs.Labels{"stage": name}, obs.DefBuckets())
 	}
 	return &serveMetrics{
-		reg:              reg,
-		cacheHits:        reg.Counter("gem_cache_hits_total", "Embedding cache hits.", nil),
-		cacheMisses:      reg.Counter("gem_cache_misses_total", "Embedding cache misses.", nil),
-		batches:          reg.Counter("gem_batches_total", "Coalesced signature batches processed.", nil),
-		batchCols:        reg.Counter("gem_batch_columns_total", "Distinct columns embedded across batches.", nil),
-		embedErrors:      reg.Counter("gem_embed_errors_total", "Columns that failed to embed.", nil),
+		cacheHits:   reg.Counter("gem_cache_hits_total", "Embedding cache hits.", nil),
+		cacheMisses: reg.Counter("gem_cache_misses_total", "Embedding cache misses.", nil),
+		batches:     reg.Counter("gem_batches_total", "Coalesced signature batches processed.", nil),
+		batchCols:   reg.Counter("gem_batch_columns_total", "Distinct columns embedded across batches.", nil),
+		batchMax:    reg.Gauge("gem_batch_max_columns", "Distinct columns in the widest coalesced batch so far.", nil),
+		embedErrors: reg.Counter("gem_embed_errors_total", "Columns that failed to embed.", nil),
+		embedSeconds: reg.Histogram("gem_embed_seconds",
+			"Wall-clock of one successful embed call (an /embed, a /search's query embedding, a /columns add), cache hits included.",
+			nil, embedBuckets()),
+		embedColumns:     reg.Counter("gem_embed_columns_total", "Columns answered by successful embed calls, cached or not.", nil),
+		indexErrors:      reg.Counter("gem_index_errors_total", "Fresh embeddings the warm index failed to take.", nil),
+		removes:          reg.Counter("gem_catalog_removes_total", "Columns removed from the catalog.", nil),
+		compactions:      reg.Counter("gem_catalog_compactions_total", "Successful catalog compactions.", nil),
+		storeErrors:      reg.Counter("gem_store_errors_total", "Catalog store failures (journal appends, compactions, store/index divergence).", nil),
 		embedValues:      reg.Counter("gem_embed_values_total", "Values of the columns embedded on cache misses.", nil),
 		embedDistinct:    reg.Counter("gem_embed_distinct_values_total", "Distinct values of the columns embedded on cache misses: the mixture kernel runs once per distinct value, so this over gem_embed_values_total is the share of the per-value cost paid.", nil),
 		stageCacheLookup: stage("cache_lookup"),
@@ -103,17 +123,32 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	}
 }
 
-// httpRequest records one finished HTTP request on the shared per-endpoint
-// families. Lazy get-or-create keeps the label space (endpoint × code)
-// driven by traffic; the registry dedupes, and a nil registry no-ops.
-func (m *serveMetrics) httpRequest(endpoint string, code int, seconds float64) {
-	if m.reg == nil {
-		return
+// httpMetrics are the per-endpoint HTTP instruments the server and the
+// proxy share. The series of every endpointLabel value are registered up
+// front, so a request costs two map reads and a few atomic updates; the
+// error counter stays lazy, since its label space (endpoint × code) is
+// driven by traffic and it fires only on responses of 400 and up. A nil
+// registry no-ops.
+type httpMetrics struct {
+	reg      *obs.Registry
+	requests map[string]*obs.Counter
+	seconds  map[string]*obs.Histogram
+}
+
+func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
+	m := &httpMetrics{reg: reg, requests: map[string]*obs.Counter{}, seconds: map[string]*obs.Histogram{}}
+	for _, e := range endpointLabels {
+		l := obs.Labels{"endpoint": e}
+		m.requests[e] = reg.Counter("gem_http_requests_total", "HTTP requests by endpoint.", l)
+		m.seconds[e] = reg.Histogram("gem_http_request_seconds", "HTTP request latency by endpoint.", l, obs.DefBuckets())
 	}
-	m.reg.Counter("gem_http_requests_total", "HTTP requests by endpoint.",
-		obs.Labels{"endpoint": endpoint}).Inc()
-	m.reg.Histogram("gem_http_request_seconds", "HTTP request latency by endpoint.",
-		obs.Labels{"endpoint": endpoint}, obs.DefBuckets()).Observe(seconds)
+	return m
+}
+
+// request records one finished HTTP request.
+func (m *httpMetrics) request(endpoint string, code int, seconds float64) {
+	m.requests[endpoint].Inc()
+	m.seconds[endpoint].Observe(seconds)
 	if code >= 400 {
 		m.reg.Counter("gem_http_errors_total", "HTTP error responses by endpoint and status code.",
 			obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(code)}).Inc()
@@ -207,6 +242,10 @@ func spansFrom(ctx context.Context) *spanSet {
 	return ss
 }
 
+// endpointLabels are every value endpointLabel returns.
+var endpointLabels = []string{"/embed", "/search", "/columns", "/columns/compact", "/columns/{ref}",
+	"/healthz", "/stats", "/metrics", "other"}
+
 // endpointLabel collapses a request path onto a bounded endpoint label so
 // client-chosen path segments cannot explode the metric label space.
 func endpointLabel(path string) string {
@@ -292,7 +331,7 @@ func (r *responseRecorder) flush() {
 // histograms, JSON-normalized error bodies, and (server only) span tracing
 // plus the slow-request log.
 type httpInstrumentor struct {
-	met           *serveMetrics
+	met           *httpMetrics
 	trace         bool
 	slowThreshold time.Duration
 	slowLog       *log.Logger
@@ -312,7 +351,7 @@ func (ins *httpInstrumentor) wrap(next http.Handler) http.Handler {
 		next.ServeHTTP(rec, r)
 		rec.flush()
 		total := time.Since(start)
-		ins.met.httpRequest(endpoint, rec.code, total.Seconds())
+		ins.met.request(endpoint, rec.code, total.Seconds())
 		if ins.slowThreshold > 0 && total >= ins.slowThreshold {
 			// The request id exists only in this log line — handing it to
 			// the response would break the byte-identity contract.

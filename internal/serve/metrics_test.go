@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -257,5 +261,139 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 	if code, _ := post(t, ts.URL+"/embed", embedBody); code != http.StatusOK {
 		t.Errorf("embed with metrics off: status %d", code)
+	}
+}
+
+// TestStatsMatchMetrics pins the one-instrument-set contract: after embeds
+// (cold and cached), a search, adds, removes, a compaction and a dead-store
+// failure on a metrics-on sharded server, every /stats counter equals the
+// /metrics series it is read from.
+func TestStatsMatchMetrics(t *testing.T) {
+	cfg := Config{Metrics: obs.NewRegistry()}
+	s, closeAll := newShardedServer(t, t.TempDir(), 2, 2, cfg)
+	defer closeAll()
+	h := s.Handler()
+
+	ds := testCatalog()
+	var cols []string
+	for _, c := range ds.Columns[:8] {
+		cols = append(cols, colJSON(c))
+	}
+	mustOK := func(method, path, body string) {
+		t.Helper()
+		if code, resp := doReq(t, h, method, path, body); code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, code, resp)
+		}
+	}
+	mustOK("POST", "/columns", `{"columns":[`+strings.Join(cols, ",")+`]}`)
+	mustOK("POST", "/embed", embedBody)
+	mustOK("POST", "/embed", embedBody)
+	mustOK("POST", "/search", searchBody)
+	mustOK("DELETE", "/columns/"+ds.Columns[1].Name, "")
+	mustOK("POST", "/columns/compact", "")
+	mustOK("DELETE", "/columns/"+ds.Columns[2].Name, "")
+	// Kill every shard store under the server: the next add and remove
+	// fail and count as store errors.
+	for i := 0; i < s.cat.Shards(); i++ {
+		if err := s.cat.Store(i).Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code, _ := doReq(t, h, "POST", "/columns", `{"columns":[`+colJSON(ds.Columns[9])+`]}`); code == http.StatusOK {
+		t.Fatal("add with dead stores succeeded")
+	}
+	if code, _ := doReq(t, h, "DELETE", "/columns/"+ds.Columns[3].Name, ""); code == http.StatusOK {
+		t.Fatal("remove with dead stores succeeded")
+	}
+
+	code, body := doReq(t, h, "GET", "/stats", "")
+	if code != http.StatusOK {
+		t.Fatalf("/stats: status %d: %s", code, body)
+	}
+	var st Stats
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	code, raw := doReq(t, h, "GET", "/metrics", "")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	exp := string(raw)
+	for _, c := range []struct {
+		field  string
+		stats  float64
+		series string
+	}{
+		{"hits", float64(st.Hits), "gem_cache_hits_total"},
+		{"misses", float64(st.Misses), "gem_cache_misses_total"},
+		{"batches", float64(st.Batches), "gem_batches_total"},
+		{"max_batch", float64(st.MaxBatch), "gem_batch_max_columns"},
+		{"requests", float64(st.Requests), "gem_embed_seconds_count"},
+		{"columns", float64(st.Columns), "gem_embed_columns_total"},
+		{"errors", float64(st.Errors), "gem_embed_errors_total"},
+		{"index_errors", float64(st.IndexErrors), "gem_index_errors_total"},
+		{"removes", float64(st.Removes), "gem_catalog_removes_total"},
+		{"compactions", float64(st.Compactions), "gem_catalog_compactions_total"},
+		{"store_errors", float64(st.StoreErrors), "gem_store_errors_total"},
+		{"cache_entries", float64(st.CacheEntries), "gem_cache_entries"},
+		{"index_size", float64(st.IndexSize), "gem_catalog_live_columns"},
+		{"index_tombstones", float64(st.IndexTombstones), "gem_catalog_tombstones"},
+	} {
+		if got := metricValue(t, exp, c.series+" "); got != c.stats {
+			t.Errorf("/stats %s = %v, /metrics %s = %v", c.field, c.stats, c.series, got)
+		}
+	}
+	batchCols := metricValue(t, exp, "gem_batch_columns_total ")
+	if want := batchCols / metricValue(t, exp, "gem_batches_total "); st.MeanBatch != want {
+		t.Errorf("/stats mean_batch = %v, /metrics batch columns / batches = %v", st.MeanBatch, want)
+	}
+	// The traffic above reached every counter it should have; the failed
+	// add still embedded its column before the store refused it.
+	if st.Hits == 0 || st.Removes != 2 || st.Compactions != 1 || st.StoreErrors == 0 || st.Requests != 5 {
+		t.Errorf("traffic did not land: %+v", st)
+	}
+}
+
+// TestStatsLatencyPercentilesBucketed feeds the embed latency histogram a
+// known sample and checks that each /stats percentile lands in the bucket
+// that holds the true order statistic — the resolution the histogram
+// promises.
+func TestStatsLatencyPercentilesBucketed(t *testing.T) {
+	s := newTestServer(t, 1, Config{})
+	rng := rand.New(rand.NewSource(1))
+	lat := make([]float64, 1000)
+	for i := range lat {
+		lat[i] = 2e-6 * math.Pow(25000, rng.Float64()) // 2 µs .. 50 ms, log-uniform
+		s.met.embedSeconds.Observe(lat[i])
+	}
+	sort.Float64s(lat)
+	st := s.Stats()
+	if st.Requests != int64(len(lat)) {
+		t.Fatalf("requests = %d, want %d", st.Requests, len(lat))
+	}
+	bounds := embedBuckets()
+	for _, p := range []struct {
+		name  string
+		q, ms float64
+	}{{"p50", 0.50, st.LatencyP50Ms}, {"p90", 0.90, st.LatencyP90Ms}, {"p99", 0.99, st.LatencyP99Ms}} {
+		// The order statistic at rank q·n and the bucket holding it.
+		v := lat[int(math.Ceil(p.q*float64(len(lat))))-1]
+		b := sort.SearchFloat64s(bounds, v)
+		lo := 0.0
+		if b > 0 {
+			lo = bounds[b-1]
+		}
+		if got := p.ms / 1000; got < lo*(1-1e-9) || got > bounds[b]*(1+1e-9) {
+			t.Errorf("%s = %v s, outside the bucket (%v, %v] that holds the order statistic %v", p.name, got, lo, bounds[b], v)
+		}
+	}
+}
+
+// TestHTTPRequestZeroAlloc: recording a successful request reads
+// pre-registered series — no label map, no registry lock, no allocation.
+func TestHTTPRequestZeroAlloc(t *testing.T) {
+	m := newHTTPMetrics(obs.NewRegistry())
+	if allocs := testing.AllocsPerRun(1000, func() { m.request("/search", http.StatusOK, 1e-3) }); allocs != 0 {
+		t.Errorf("httpMetrics.request: %v allocs per request, want 0", allocs)
 	}
 }

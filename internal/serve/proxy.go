@@ -142,7 +142,7 @@ func (p *Proxy) Handler() http.Handler {
 	if p.reg != nil {
 		mux.HandleFunc("GET /metrics", p.handleMetrics)
 	}
-	ins := &httpInstrumentor{met: newServeMetrics(p.reg)}
+	ins := &httpInstrumentor{met: newHTTPMetrics(p.reg)}
 	return ins.wrap(mux)
 }
 

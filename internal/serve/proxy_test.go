@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"github.com/gem-embeddings/gem/internal/ann"
+	"github.com/gem-embeddings/gem/internal/obs"
 	"github.com/gem-embeddings/gem/internal/table"
 )
 
@@ -244,5 +245,44 @@ func TestNewProxyValidation(t *testing.T) {
 	}
 	if p.backends[0] != "http://a" || p.backends[1] != "https://b" {
 		t.Fatalf("backend normalization: %v", p.backends)
+	}
+}
+
+// TestProxyMetricsOwnFamilies: the proxy's /metrics carries its own HTTP
+// and fan-out series and none of the server's embed, cache, batch, catalog
+// or index families, which a proxy never records.
+func TestProxyMetricsOwnFamilies(t *testing.T) {
+	ds := testCatalog()
+	fleet, _ := newProxyFleet(t, 2, ds.Columns[:6])
+	p, err := NewProxy(ProxyConfig{Backends: fleet.backends, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.Handler()
+	for _, req := range [][3]string{
+		{"POST", "/search", fmt.Sprintf(`{"column":%s,"k":2}`, colJSON(ds.Columns[8]))},
+		{"GET", "/healthz", ""},
+		{"GET", "/stats", ""},
+	} {
+		if code, body := doReq(t, h, req[0], req[1], req[2]); code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", req[0], req[1], code, body)
+		}
+	}
+	code, raw := doReq(t, h, "GET", "/metrics", "")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	exp := string(raw)
+	for _, want := range []string{`gem_http_requests_total{endpoint="/search"} 1`, `gem_proxy_backend_up{backend="1"} 1`} {
+		if !strings.Contains(exp, want) {
+			t.Errorf("proxy exposition lacks %q", want)
+		}
+	}
+	for _, line := range strings.Split(exp, "\n") {
+		for _, prefix := range []string{"gem_cache_", "gem_embed_", "gem_batch", "gem_catalog_", "gem_index_"} {
+			if strings.HasPrefix(line, prefix) || strings.HasPrefix(line, "# TYPE "+prefix) {
+				t.Errorf("proxy exposition carries a server-only family: %s", line)
+			}
+		}
 	}
 }

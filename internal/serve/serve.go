@@ -57,7 +57,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/gem-embeddings/gem/internal/ann"
@@ -125,13 +124,11 @@ type Config struct {
 	// accumulated since the last compaction. 0 means compaction only via
 	// CompactCatalog.
 	CompactEvery int
-	// LatencyWindow is how many recent request latencies the percentile
-	// report keeps. Default 2048.
-	LatencyWindow int
 	// Metrics, when set, receives the server's operational series (request
 	// counters, stage timings, cache and catalog gauges) and is exposed at
-	// GET /metrics. Nil disables metrics; the hot path then records
-	// nothing. Instrumentation never alters a response body.
+	// GET /metrics. Nil keeps the counters behind /stats on a private
+	// registry and leaves /metrics unmounted; stage timings are then taken
+	// only for the slow log. Instrumentation never alters a response body.
 	Metrics *obs.Registry
 	// SlowThreshold, when positive, logs a structured one-line record (with
 	// request id and per-stage breakdown) for every HTTP request slower
@@ -150,9 +147,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 2048
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -192,12 +186,10 @@ type Server struct {
 	store *catalog.Store
 
 	start time.Time
-	ctr   counters
-	lat   *latencyRing
 
-	// met holds the metric instruments (no-op instances when metrics are
-	// off); trace gates the hot-path time.Now() calls — true when either
-	// metrics or the slow log wants stage timings.
+	// met holds the instruments behind /stats and /metrics; trace gates
+	// the stage-timing time.Now() calls — true when either metrics or the
+	// slow log wants stage timings.
 	met   *serveMetrics
 	trace bool
 	ins   *httpInstrumentor
@@ -233,15 +225,18 @@ func New(e *core.Embedder, cfg Config) (*Server, error) {
 		b:         newBatcher(cfg.QueueDepth, cfg.MaxBatch),
 		//lint:gemallow detnondet start stamp feeds only uptime telemetry
 		start: time.Now(),
-		lat:   newLatencyRing(cfg.LatencyWindow),
 	}
-	s.met = newServeMetrics(cfg.Metrics)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.met = newServeMetrics(reg)
 	s.trace = cfg.Metrics != nil || cfg.SlowThreshold > 0
 	slowLog := cfg.SlowLog
 	if slowLog == nil {
 		slowLog = log.Default()
 	}
-	s.ins = &httpInstrumentor{met: s.met, trace: s.trace, slowThreshold: cfg.SlowThreshold, slowLog: slowLog}
+	s.ins = &httpInstrumentor{met: newHTTPMetrics(reg), trace: s.trace, slowThreshold: cfg.SlowThreshold, slowLog: slowLog}
 	if cfg.Catalog != nil && (cfg.Index != nil || cfg.Store != nil || len(cfg.IndexNames) > 0) {
 		return nil, fmt.Errorf("%w: Catalog is mutually exclusive with Index, IndexNames and Store", ErrInput)
 	}
@@ -395,7 +390,7 @@ func (s *Server) Embed(ctx context.Context, cols []table.Column) ([][]float64, e
 // embed is Embed that also hands back each column's content key, so the
 // index paths reuse the hash the cache lookup already paid for.
 func (s *Server) embed(ctx context.Context, cols []table.Column) ([][]float64, []cacheKey, error) {
-	//lint:gemallow detnondet request timing feeds the latency ring, never the answer
+	//lint:gemallow detnondet request timing feeds the embed latency histogram, never the answer
 	start := time.Now()
 	if s.b.isClosed() {
 		// Checked up front so even fully cached requests honour the Close
@@ -434,12 +429,10 @@ func (s *Server) embed(ctx context.Context, cols []table.Column) ([][]float64, [
 			lookup += time.Since(t0)
 		}
 		if ok {
-			s.ctr.hits.Add(1)
 			s.met.cacheHits.Inc()
 			out[i] = vec
 			continue
 		}
-		s.ctr.misses.Add(1)
 		s.met.cacheMisses.Inc()
 		// Snapshot the values: the dispatcher may read them after this
 		// call has returned (ctx cancellation abandons the job, not the
@@ -470,10 +463,9 @@ func (s *Server) embed(ctx context.Context, cols []table.Column) ([][]float64, [
 			return nil, nil, ctx.Err()
 		}
 	}
-	s.ctr.requests.Add(1)
-	s.ctr.columns.Add(int64(len(cols)))
-	//lint:gemallow detnondet request timing feeds the latency ring, never the answer
-	s.lat.record(time.Since(start).Seconds())
+	s.met.embedColumns.Add(int64(len(cols)))
+	//lint:gemallow detnondet request timing feeds the embed latency histogram, never the answer
+	s.met.embedSeconds.Observe(time.Since(start).Seconds())
 	return out, keys, nil
 }
 
@@ -505,11 +497,9 @@ func (s *Server) process(batch []*job) {
 		}
 		groups[j.key] = append(groups[j.key], j)
 	}
-	s.ctr.batches.Add(1)
-	s.ctr.batchCols.Add(int64(len(uniq)))
-	s.ctr.maxBatchObserved(int64(len(uniq)))
 	s.met.batches.Inc()
 	s.met.batchCols.Add(int64(len(uniq)))
+	s.met.batchMax.SetMax(float64(len(uniq)))
 	var sigStart time.Time
 	if s.trace {
 		// batch_wait is per job: queue entry to the moment its batch
@@ -584,7 +574,6 @@ func (s *Server) process(batch []*job) {
 				j.spans.add("index_add", d)
 			}
 		} else {
-			s.ctr.errors.Add(1)
 			s.met.embedErrors.Inc()
 		}
 		for _, dup := range groups[j.key] {
@@ -613,30 +602,15 @@ func (s *Server) feedIndex(key cacheKey, name string, vec []float64) {
 		return
 	}
 	if _, err := s.cat.Add(catalog.Key(key), name, vec); err != nil {
-		s.ctr.indexErrors.Add(1)
+		s.met.indexErrors.Inc()
 	}
 }
 
-// catalogAdd inserts one raw embedding through the sharded catalog
-// (journal-first on the owning shard, so a store failure aborts the
-// mutation and the caller sees the error instead of an index entry that
-// silently vanishes on restart), translating store failures into the
-// storeErrors counter. The caller holds idxMu.
-func (s *Server) catalogAdd(key cacheKey, name string, vec []float64) (int, error) {
-	id, err := s.cat.Add(catalog.Key(key), name, vec)
-	if err != nil && errors.Is(err, shard.ErrStore) {
-		s.ctr.storeErrors.Add(1)
-	}
-	return id, err
-}
-
-// catalogRemove is the remove-side twin of catalogAdd: journal first on
-// the owning shard, then tombstone. The caller holds idxMu and
-// guarantees id is live.
-func (s *Server) catalogRemove(id int) error {
-	err := s.cat.Remove(id)
-	if err != nil && errors.Is(err, shard.ErrStore) {
-		s.ctr.storeErrors.Add(1)
+// countStoreErr passes err through, counting it in storeErrors when a
+// catalog store caused it.
+func (s *Server) countStoreErr(err error) error {
+	if errors.Is(err, shard.ErrStore) {
+		s.met.storeErrors.Inc()
 	}
 	return err
 }
@@ -698,9 +672,11 @@ func (s *Server) AddColumns(ctx context.Context, cols []table.Column) ([]int, er
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
 	for i, col := range cols {
-		id, err := s.catalogAdd(keys[i], col.Name, rows[i])
+		// Journal-first on the owning shard: a store failure aborts the add,
+		// so the caller never sees an entry that would vanish on restart.
+		id, err := s.cat.Add(catalog.Key(keys[i]), col.Name, rows[i])
 		if err != nil {
-			return nil, fmt.Errorf("serve: indexing column %q: %w", col.Name, err)
+			return nil, fmt.Errorf("serve: indexing column %q: %w", col.Name, s.countStoreErr(err))
 		}
 		ids[i] = id
 	}
@@ -752,11 +728,11 @@ func (s *Server) RemoveColumns(refs ...string) ([]int, error) {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		if err := s.catalogRemove(id); err != nil {
-			return nil, fmt.Errorf("serve: removing column %d: %w", id, err)
+		if err := s.cat.Remove(id); err != nil {
+			return nil, fmt.Errorf("serve: removing column %d: %w", id, s.countStoreErr(err))
 		}
 	}
-	s.ctr.removes.Add(int64(len(ids)))
+	s.met.removes.Add(int64(len(ids)))
 	if s.cfg.CompactEvery > 0 && s.cat.RemovalsSinceCompact() >= s.cfg.CompactEvery {
 		// Best-effort: the removals above are already journaled and
 		// applied, so a failed compaction must not turn this call into an
@@ -802,15 +778,12 @@ func (s *Server) compactLocked() error {
 		// A shard store's live order is the contract that makes restart
 		// replay line up with the rebuilt index; a mismatch means a
 		// journal append failed earlier and the store lost a mutation.
-		s.ctr.storeErrors.Add(1)
+		s.met.storeErrors.Inc()
 	}
 	if err != nil {
-		if errors.Is(err, shard.ErrStore) {
-			s.ctr.storeErrors.Add(1)
-		}
-		return fmt.Errorf("serve: compacting catalog: %w", err)
+		return fmt.Errorf("serve: compacting catalog: %w", s.countStoreErr(err))
 	}
-	s.ctr.compactions.Add(1)
+	s.met.compactions.Inc()
 	return nil
 }
 
@@ -939,30 +912,11 @@ func (s *Server) indexShape() (live, tombstones int) {
 	return s.cat.Live(), s.cat.Len() - s.cat.Live()
 }
 
-// counters aggregates the hot-path statistics lock-free.
-type counters struct {
-	requests, columns   atomic.Int64
-	hits, misses        atomic.Int64
-	batches, batchCols  atomic.Int64
-	maxBatch            atomic.Int64
-	errors, indexErrors atomic.Int64
-	removes             atomic.Int64
-	compactions         atomic.Int64
-	storeErrors         atomic.Int64
-}
-
-func (c *counters) maxBatchObserved(n int64) {
-	for {
-		cur := c.maxBatch.Load()
-		if n <= cur || c.maxBatch.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Stats is a point-in-time snapshot of the server's operational counters —
 // everything deliberately kept OUT of /embed responses so those stay a pure
-// function of the request.
+// function of the request. Every counter and latency field is read from the
+// same obs instrument /metrics exposes (see serveMetrics); the rest are
+// reads of the cache and catalog state.
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Requests      int64   `json:"requests"`
@@ -986,26 +940,25 @@ type Stats struct {
 	// StoreColumns is the live size of the catalog store (0 without one);
 	// StoreErrors counts journal/compaction failures — any non-zero value
 	// means the durable catalog may be missing mutations.
-	StoreColumns int     `json:"store_columns"`
-	StoreErrors  int64   `json:"store_errors"`
+	StoreColumns int   `json:"store_columns"`
+	StoreErrors  int64 `json:"store_errors"`
+	// The latency percentiles are lifetime gem_embed_seconds estimates,
+	// exact only to their ×2 bucket (see obs.Histogram.Quantile).
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP90Ms float64 `json:"latency_p90_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
 }
 
-// Stats snapshots the counters.
+// Stats reads the counters from the server's instruments.
 func (s *Server) Stats() Stats {
-	hits, misses := s.ctr.hits.Load(), s.ctr.misses.Load()
-	var hitRate float64
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
+	m := s.met
+	ratio := func(a, b int64) float64 {
+		if b == 0 {
+			return 0
+		}
+		return float64(a) / float64(b)
 	}
-	batches, batchCols := s.ctr.batches.Load(), s.ctr.batchCols.Load()
-	var meanBatch float64
-	if batches > 0 {
-		meanBatch = float64(batchCols) / float64(batches)
-	}
-	p50, p90, p99 := s.lat.percentiles()
+	hits, misses, batches := m.cacheHits.Value(), m.cacheMisses.Value(), m.batches.Value()
 	live, tombstones := s.indexShape()
 	storeCols, shards := 0, 0
 	if s.cat != nil {
@@ -1015,73 +968,26 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		//lint:gemallow detnondet uptime is operator telemetry in the stats body
 		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Requests:        s.ctr.requests.Load(),
-		Columns:         s.ctr.columns.Load(),
+		Requests:        m.embedSeconds.Count(),
+		Columns:         m.embedColumns.Value(),
 		Hits:            hits,
 		Misses:          misses,
-		HitRate:         hitRate,
+		HitRate:         ratio(hits, hits+misses),
 		Batches:         batches,
-		MeanBatch:       meanBatch,
-		MaxBatch:        s.ctr.maxBatch.Load(),
-		Errors:          s.ctr.errors.Load(),
-		IndexErrors:     s.ctr.indexErrors.Load(),
+		MeanBatch:       ratio(m.batchCols.Value(), batches),
+		MaxBatch:        int64(m.batchMax.Value()),
+		Errors:          m.embedErrors.Value(),
+		IndexErrors:     m.indexErrors.Value(),
 		CacheEntries:    s.cache.len(),
 		IndexSize:       live,
 		IndexTombstones: tombstones,
-		Removes:         s.ctr.removes.Load(),
-		Compactions:     s.ctr.compactions.Load(),
+		Removes:         m.removes.Value(),
+		Compactions:     m.compactions.Value(),
 		Shards:          shards,
 		StoreColumns:    storeCols,
-		StoreErrors:     s.ctr.storeErrors.Load(),
-		LatencyP50Ms:    p50 * 1000,
-		LatencyP90Ms:    p90 * 1000,
-		LatencyP99Ms:    p99 * 1000,
+		StoreErrors:     m.storeErrors.Value(),
+		LatencyP50Ms:    m.embedSeconds.Quantile(0.50) * 1000,
+		LatencyP90Ms:    m.embedSeconds.Quantile(0.90) * 1000,
+		LatencyP99Ms:    m.embedSeconds.Quantile(0.99) * 1000,
 	}
-}
-
-// latencyRing keeps the last n request latencies for percentile reporting.
-type latencyRing struct {
-	mu    sync.Mutex
-	buf   []float64
-	next  int
-	count int
-}
-
-func newLatencyRing(n int) *latencyRing {
-	return &latencyRing{buf: make([]float64, n)}
-}
-
-func (r *latencyRing) record(seconds float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = seconds
-	r.next = (r.next + 1) % len(r.buf)
-	if r.count < len(r.buf) {
-		r.count++
-	}
-}
-
-func (r *latencyRing) percentiles() (p50, p90, p99 float64) {
-	r.mu.Lock()
-	snap := make([]float64, r.count)
-	copy(snap, r.buf[:r.count])
-	r.mu.Unlock()
-	if len(snap) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(snap)
-	// Linear interpolation between the bracketing order statistics (the
-	// h = p·(n−1) convention). Truncating h to an index instead rounds
-	// every percentile down — on small samples p99 collapsed onto a much
-	// lower order statistic (with 10 samples it reported the 9th-largest
-	// value as p99).
-	at := func(p float64) float64 {
-		h := p * float64(len(snap)-1)
-		lo := int(h)
-		if lo >= len(snap)-1 {
-			return snap[len(snap)-1]
-		}
-		return snap[lo] + (h-float64(lo))*(snap[lo+1]-snap[lo])
-	}
-	return at(0.50), at(0.90), at(0.99)
 }
