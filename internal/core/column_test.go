@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/gem-embeddings/gem/internal/data"
 	"github.com/gem-embeddings/gem/internal/stats"
 	"github.com/gem-embeddings/gem/internal/table"
 )
@@ -106,9 +108,7 @@ func TestColumnSignatureMatchesBatch(t *testing.T) {
 }
 
 // TestColumnSignatureOrderFree shuffles a column that repeats its values:
-// the distributional half of the signature and the order-statistic features
-// may not move by a bit. Mean and CV are summed in column order, so they
-// are held to rounding only.
+// neither half of the signature may move by a bit.
 func TestColumnSignatureOrderFree(t *testing.T) {
 	ds := smallCorpus()
 	e, err := NewEmbedder(fastCfg())
@@ -122,6 +122,11 @@ func TestColumnSignatureOrderFree(t *testing.T) {
 	col := table.Column{Name: "dup", Values: make([]float64, 600)}
 	for i := range col.Values {
 		col.Values[i] = math.Round(10*ds.Columns[0].Values[rng.Intn(len(ds.Columns[0].Values))]) / 10
+	}
+	// Zeros of both signs compare equal, but a percentile keeps the sign
+	// of the zero it reads.
+	for i := 0; i < 120; i++ {
+		col.Values[i] = math.Copysign(0, float64(i%2)-0.5)
 	}
 	want, err := e.ColumnSignature(col)
 	if err != nil {
@@ -142,19 +147,78 @@ func TestColumnSignatureOrderFree(t *testing.T) {
 			}
 		}
 		for j, name := range StatFeatureNames() {
-			switch name {
-			case "mean", "cv":
-				if d := math.Abs(got.Stats[j] - want.Stats[j]); d > 1e-12*math.Abs(want.Stats[j]) {
-					t.Fatalf("shuffle %d: %s = %v, want %v", s, name, got.Stats[j], want.Stats[j])
-				}
-			default:
-				if math.Float64bits(got.Stats[j]) != math.Float64bits(want.Stats[j]) {
-					t.Fatalf("shuffle %d: %s = %v, want %v bit for bit", s, name, got.Stats[j], want.Stats[j])
-				}
+			if math.Float64bits(got.Stats[j]) != math.Float64bits(want.Stats[j]) {
+				t.Fatalf("shuffle %d: %s = %v, want %v bit for bit", s, name, got.Stats[j], want.Stats[j])
 			}
 		}
 		if got.Distinct != want.Distinct {
 			t.Fatalf("shuffle %d: Distinct %d, want %d", s, got.Distinct, want.Distinct)
+		}
+	}
+}
+
+// shuffledRows returns ds with the rows of every column in a seeded random
+// order; the columns and their order stay as they are.
+func shuffledRows(ds *table.Dataset, seed int64) *table.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	out := &table.Dataset{Name: ds.Name, Columns: make([]table.Column, len(ds.Columns))}
+	for i, col := range ds.Columns {
+		col.Values = append([]float64(nil), col.Values...)
+		rng.Shuffle(len(col.Values), func(a, b int) { col.Values[a], col.Values[b] = col.Values[b], col.Values[a] })
+		out.Columns[i] = col
+	}
+	return out
+}
+
+// TestEmbeddingIndependentOfRowOrder: an embedding is a function of the
+// column's values, not of their order. Shuffling the rows of every column
+// of the golden catalog and of the four paper corpora leaves every Embed
+// row and every EmbedColumn row as it was, bit for bit.
+func TestEmbeddingIndependentOfRowOrder(t *testing.T) {
+	corpora := append([]*table.Dataset{goldenCatalog()}, data.AllCorpora(data.Config{Seed: 4, Scale: 0.05})...)
+	for _, ds := range corpora {
+		e, err := NewEmbedder(fastCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Embed(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 2; seed++ {
+			shuf := shuffledRows(ds, seed)
+			got, err := e.Embed(shuf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				requireRowBits(t, fmt.Sprintf("%s shuffle %d: Embed column %d", ds.Name, seed, i), got[i], want[i])
+				single, err := e.EmbedColumn(ds.Columns[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				shuffled, err := e.EmbedColumn(shuf.Columns[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireRowBits(t, fmt.Sprintf("%s shuffle %d: EmbedColumn column %d", ds.Name, seed, i), shuffled, single)
+			}
+		}
+	}
+}
+
+// requireRowBits fails unless got and want agree bit for bit.
+func requireRowBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d dims, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: component %d = %v, want %v bit for bit", what, j, got[j], want[j])
 		}
 	}
 }

@@ -326,7 +326,7 @@ func (e *Embedder) freezeMoments(ds *table.Dataset) error {
 		if len(values) == 0 {
 			return fmt.Errorf("core: column %d (%q): %w: empty column", i, ds.Columns[i].Name, ErrInput)
 		}
-		feats[i], _ = e.features(values, sortedCopy(values))
+		feats[i], _ = e.features(sortedCopy(values))
 		return nil
 	})
 	if err != nil {
@@ -411,30 +411,48 @@ func RawStatisticalFeatures(values []float64, entropyBins int) ([]float64, error
 	if entropyBins <= 0 {
 		entropyBins = 20
 	}
-	fs, _ := sortedFeatures(values, sortedCopy(values), entropyBins)
+	fs, _ := sortedFeatures(sortedCopy(values), entropyBins)
 	return fs, nil
 }
 
-// sortedCopy returns an ascending copy of values (NaNs first).
+// sortedCopy returns an ascending copy of values: NaNs first, and every −0
+// before every +0. slices.Sort leaves −0 and +0 in whatever order the rows
+// and the sort put them (they compare equal), and the percentiles and the
+// extremes keep the sign of the zero they read, so the zeros are rewritten
+// in sign order: the copy is a function of the values alone.
 func sortedCopy(values []float64) []float64 {
 	sorted := slices.Clone(values)
 	slices.Sort(sorted)
+	lo, _ := slices.BinarySearch(sorted, 0)
+	hi, neg := lo, 0
+	for ; hi < len(sorted) && sorted[hi] == 0; hi++ {
+		if math.Signbit(sorted[hi]) {
+			neg++
+		}
+	}
+	for i := lo; i < hi; i++ {
+		sorted[i] = 0
+		if i < lo+neg {
+			sorted[i] = math.Copysign(0, -1)
+		}
+	}
 	return sorted
 }
 
 // sortedFeatures computes the seven raw features of a non-empty column
-// from the column and its ascending copy, and returns the number of distinct
-// values beside them. The order-free features are read off the sorted
-// slice: unique count = runs of equal values (all NaNs counting as one),
-// the two percentiles by interpolation, the entropy histogram. Mean,
-// deviation and the extremes come from two passes in COLUMN order — sums
-// round by order and stats.Min/Max keep a NaN only when it comes first —
-// so every feature has the bits the seven separate stats calls gave.
-func sortedFeatures(values, sorted []float64, entropyBins int) ([]float64, int) {
-	mean, _ := stats.Mean(values)
-	lo, hi := values[0], values[0]
+// from its ascending copy, and returns the number of distinct values beside
+// them. Every feature is read off the sorted slice, so none depends on the
+// order of the column's rows: unique count = runs of equal values (all NaNs
+// counting as one), mean and deviation summed in ascending order, the
+// extremes, the two percentiles by interpolation, the entropy histogram.
+// Each feature has the bits the seven separate stats calls give on the
+// ascending copy: stats.Min/Max keep a NaN when it comes first, and sorting
+// puts every NaN first.
+func sortedFeatures(sorted []float64, entropyBins int) ([]float64, int) {
+	mean, _ := stats.Mean(sorted)
+	lo, hi := sorted[0], sorted[0]
 	var ss float64
-	for _, x := range values {
+	for _, x := range sorted {
 		d := x - mean
 		ss += d * d
 		if x < lo {
@@ -444,7 +462,7 @@ func sortedFeatures(values, sorted []float64, entropyBins int) ([]float64, int) 
 			hi = x
 		}
 	}
-	cv := math.Sqrt(ss / float64(len(values)))
+	cv := math.Sqrt(ss / float64(len(sorted)))
 	if mean != 0 {
 		cv /= math.Abs(mean)
 	}
@@ -476,10 +494,10 @@ func logMeasure(fs []float64) {
 }
 
 // features returns a column's statistical features in the configured
-// measurement, and its number of distinct values, from the column and its
+// measurement, and its number of distinct values, from the column's
 // ascending copy.
-func (e *Embedder) features(values, sorted []float64) ([]float64, int) {
-	fs, distinct := sortedFeatures(values, sorted, e.cfg.EntropyBins)
+func (e *Embedder) features(sorted []float64) ([]float64, int) {
+	fs, distinct := sortedFeatures(sorted, e.cfg.EntropyBins)
 	if !e.cfg.RawStats {
 		logMeasure(fs)
 	}
@@ -548,7 +566,7 @@ func (e *Embedder) columnSignature(col table.Column) (Signature, error) {
 	if err != nil {
 		return Signature{}, err
 	}
-	fs, distinct := e.features(col.Values, sorted)
+	fs, distinct := e.features(sorted)
 	return Signature{Column: col.Name, MeanProbs: mp, Stats: fs, Distinct: distinct}, nil
 }
 

